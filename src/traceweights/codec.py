@@ -107,8 +107,8 @@ def matrix_to_coefficients(matrix: WeightsMatrix, topology: Sequence[int]) -> Ml
     r = 0
     for fan_in, fan_out in zip(topo[:-1], topo[1:]):
         block = matrix.data[r : r + fan_out]
-        weights.append(block[:, :fan_in].T.copy())
-        biases.append(block[:, fan_in].copy())
+        weights.append(block[:, :fan_in].T)
+        biases.append(block[:, fan_in])
         r += fan_out
     return MlpModel(topo, weights, biases)
 

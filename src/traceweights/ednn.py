@@ -28,6 +28,7 @@ from .nn import (
     ReLU,
     ReshapeToMatrix,
     ReshapeToSignal,
+    pack,
 )
 
 __all__ = [
@@ -60,11 +61,19 @@ class EdnnDivergence(NumericalError):
 
 @dataclass
 class EdnnModel:
+    """Layers whose ``w``/``b`` and grads are views into ``flat``/``flat_grad``.
+
+    Both vectors hold the parameters layer by layer, weight before bias,
+    each in C order.
+    """
+
     layers: list
     input_len: int
     rows: int
     cols: int
     scale: str
+    flat: np.ndarray = field(repr=False)
+    flat_grad: np.ndarray = field(repr=False)
 
     def forward(self, x, train=False, rng=None):
         a = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -78,29 +87,30 @@ class EdnnModel:
         return dout
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params)
-        return out
+        return [self.flat]
 
     def grads(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.grad_params)
-        return out
+        return [self.flat_grad]
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params()])
+        return self.flat.copy()
 
     def load_param_vector(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
-        total = sum(p.size for p in self.params())
-        if vec.size != total:
-            raise ValueError(f"checkpoint holds {vec.size} params, model has {total}")
-        at = 0
-        for p in self.params():
-            p[...] = vec[at : at + p.size].reshape(p.shape)
-            at += p.size
+        if vec.size != self.flat.size:
+            raise ValueError(f"checkpoint holds {vec.size} params, model has {self.flat.size}")
+        self.flat[...] = vec.reshape(-1)
+
+
+def _pack_layers(layers) -> tuple[np.ndarray, np.ndarray]:
+    """Move every layer's params and grads into two flat vectors of views."""
+    owners = [layer for layer in layers if layer.params]
+    flat, views = pack([p for layer in owners for p in layer.params])
+    flat_grad, grad_views = pack([g for layer in owners for g in layer.grad_params])
+    for i, layer in enumerate(owners):
+        layer.w, layer.b = layer.params = views[2 * i : 2 * i + 2]
+        layer.grad_params = grad_views[2 * i : 2 * i + 2]
+    return flat, flat_grad
 
 
 def build_ednn(input_len: int, output_shape: tuple[int, int], scale: str, seed: int) -> EdnnModel:
@@ -127,7 +137,9 @@ def build_ednn(input_len: int, output_shape: tuple[int, int], scale: str, seed: 
         length = ConvTranspose1D.out_len(length, k)
         c_prev = c_out
     layers += [Flatten(), Dense(c_prev * length, rows * cols, rng), ReshapeToMatrix(rows, cols)]
-    return EdnnModel(layers=layers, input_len=input_len, rows=rows, cols=cols, scale=scale)
+    flat, flat_grad = _pack_layers(layers)
+    return EdnnModel(layers=layers, input_len=input_len, rows=rows, cols=cols, scale=scale,
+                     flat=flat, flat_grad=flat_grad)
 
 
 def ednn_accuracy(pred, truth, tau: float = 0.05, mask: Optional[np.ndarray] = None) -> float:
@@ -243,13 +255,11 @@ def write_ednn(path, model: EdnnModel, meta: Optional[dict] = None) -> None:
             "input_len": model.input_len,
             "rows": model.rows,
             "cols": model.cols,
-            "param_count": int(sum(p.size for p in model.params())),
+            "param_count": int(model.flat.size),
         }
     )
     (d / "ednn.json").write_text(json.dumps(header, indent=2, sort_keys=True))
-    (d / "ednn.f64").write_bytes(
-        np.ascontiguousarray(model.param_vector(), dtype="<f8").tobytes()
-    )
+    model.flat.astype("<f8", copy=False).tofile(d / "ednn.f64")
 
 
 def read_ednn(path) -> tuple[EdnnModel, dict]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .nn import (
     Adam,
-    dropout_apply,
+    pack,
     relu,
     relu_grad,
     sigmoid,
@@ -41,25 +41,24 @@ __all__ = [
 
 @dataclass
 class MlpModel:
-    """Topology plus per-layer weight (fan_in, fan_out) and bias arrays."""
+    """Topology plus per-layer weight (fan_in, fan_out) and bias arrays.
+
+    Construction copies the arrays into one vector, ``flat``, and keeps
+    ``weights``/``biases`` as views into it: layer by layer, weight
+    before bias, each in C order.
+    """
 
     topology: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat, views = pack([a for wb in zip(self.weights, self.biases) for a in wb])
+        self.weights, self.biases = views[0::2], views[1::2]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            self.topology,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
-    def flat_params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return MlpModel(self.topology, self.weights, self.biases)
 
     @property
     def n_classes(self) -> int:
@@ -156,11 +155,11 @@ def mlp_backward(model, x, targets, loss="xent", dropout=0.0, rng=None):
     else:
         raise ValueError(f"unknown loss {loss!r}")
 
-    grads_w = [np.empty_like(w) for w in model.weights]
-    grads_b = [np.empty_like(b) for b in model.biases]
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i][...] = acts[i].T @ dz
-        grads_b[i][...] = dz.sum(axis=0)
+        grads_w[i] = acts[i].T @ dz
+        grads_b[i] = dz.sum(axis=0)
         if i > 0:
             da = dz @ model.weights[i].T
             if masks[i - 1] is not None:
@@ -221,7 +220,7 @@ def train_mlp(model, x, y, cfg: TrainConfig, val=None) -> TrainHistory:
     if x.shape[0] == 0:
         raise ValueError("training set is empty")
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(model.flat_params(), lr=cfg.lr)
+    opt = Adam([model.flat], lr=cfg.lr)
     hist = TrainHistory()
     best_acc = -1.0
     best_state = None
@@ -235,11 +234,8 @@ def train_mlp(model, x, y, cfg: TrainConfig, val=None) -> TrainHistory:
             loss_val, gw, gb = mlp_backward(
                 model, x[idx], y[idx], loss="xent", dropout=cfg.dropout, rng=rng
             )
-            grads = []
-            for a, b in zip(gw, gb):
-                grads.append(a)
-                grads.append(b)
-            opt.step(model.flat_params(), grads)
+            grad = np.concatenate([a.ravel() for wb in zip(gw, gb) for a in wb])
+            opt.step([model.flat], [grad])
             epoch_loss += loss_val * len(idx)
         hist.train_loss.append(epoch_loss / x.shape[0])
         hist.train_acc.append(model_accuracy(model, x, y))
@@ -263,10 +259,7 @@ def train_mlp(model, x, y, cfg: TrainConfig, val=None) -> TrainHistory:
                 break
 
     if val is not None and cfg.restore_best and best_state is not None:
-        for w, bw in zip(model.weights, best_state.weights):
-            w[...] = bw
-        for b, bb in zip(model.biases, best_state.biases):
-            b[...] = bb
+        model.flat[...] = best_state.flat
     return hist
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "cross_entropy_from_probs",
     "dropout_apply",
     "Adam",
+    "pack",
     "Dense",
     "Conv1D",
     "ConvTranspose1D",
@@ -103,33 +104,78 @@ def dropout_apply(x, rate, rng):
     return x * mask / (1.0 - rate)
 
 
+# Elements per Adam block: the block's slices of p, g, m, v and the two
+# scratch buffers stay in cache while the update runs over them.
+_ADAM_BLOCK = 32768
+
+
 class Adam:
     """Adam optimizer over a list of parameter arrays, updated in place.
 
     Standard bias-corrected form: p -= lr * m_hat / (sqrt(v_hat) + eps).
     ``lr`` is a plain attribute so schedules can mutate it between steps.
+    Each array is stepped in blocks of ``_ADAM_BLOCK`` elements through two
+    scratch buffers, so a step allocates nothing; per element the arithmetic
+    and its order are those of the formula above.  Parameter arrays must be
+    C-contiguous, since the update writes through a flat view of each.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        if not all(p.flags.c_contiguous for p in params):
+            raise ValueError("Adam needs C-contiguous parameter arrays")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = [np.zeros(p.size) for p in params]
+        self.v = [np.zeros(p.size) for p in params]
+        width = min(_ADAM_BLOCK, max((p.size for p in params), default=0))
+        self._a = np.empty(width)
+        self._b = np.empty(width)
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps, lr = self.beta1, self.beta2, self.eps, self.lr
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p, g = p.reshape(-1), g.reshape(-1)
+            for lo in range(0, p.size, _ADAM_BLOCK):
+                hi = lo + _ADAM_BLOCK
+                pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = self._a[: pb.size], self._b[: pb.size]
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=a)
+                mb += a
+                vb *= b2
+                np.multiply(gb, gb, out=a)
+                a *= 1.0 - b2
+                vb += a
+                np.divide(vb, c2, out=a)
+                np.sqrt(a, out=a)
+                a += eps
+                np.divide(mb, c1, out=b)
+                b *= lr
+                b /= a
+                pb -= b
+
+
+def pack(arrays):
+    """Copy ``arrays`` into one new contiguous float64 vector.
+
+    Returns ``(flat, views)``: ``views[i]`` has the shape of ``arrays[i]``
+    and is the C-order slice of ``flat`` that follows ``views[i - 1]``, so
+    writing to a view writes to ``flat`` and the reverse.
+    """
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views = []
+    at = 0
+    for a in arrays:
+        views.append(flat[at : at + a.size].reshape(a.shape))
+        at += a.size
+    return flat, views
 
 
 def _uniform_fan_in(rng, fan_in, shape):

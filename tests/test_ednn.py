@@ -235,3 +235,45 @@ def test_warm_optimizer_continues_across_calls():
     train_ednn(model, x, y, EdnnTrainConfig(epochs=2, batch_size=5, seed=28),
                theta=2.0, opt=opt)
     assert opt.t == 2 * t_after_first
+
+
+def _parametric(model):
+    return [layer for layer in model.layers if layer.params]
+
+
+def _assert_packed(model):
+    layers = _parametric(model)
+    assert layers
+    assert model.params()[0] is model.flat and model.grads()[0] is model.flat_grad
+    for layer in layers:
+        assert layer.params[0] is layer.w and layer.params[1] is layer.b
+        assert all(np.shares_memory(p, model.flat) for p in layer.params)
+        assert all(np.shares_memory(g, model.flat_grad) for g in layer.grad_params)
+    params = [p.ravel() for layer in layers for p in layer.params]
+    assert np.array_equal(model.flat, np.concatenate(params))
+
+
+def test_built_and_read_models_keep_layer_params_as_views(tmp_path):
+    model = build_ednn(18, (2, 3), "desk", seed=29)
+    _assert_packed(model)
+    write_ednn(tmp_path / "m", model)
+    back, _ = read_ednn(tmp_path / "m")
+    _assert_packed(back)
+    assert not np.shares_memory(model.param_vector(), model.flat)
+
+
+def test_load_param_vector_writes_in_place():
+    model = build_ednn(16, (2, 2), "desk", seed=30)
+    flat = model.flat
+    vec = np.random.default_rng(31).normal(size=flat.size)
+    model.load_param_vector(vec)
+    assert model.flat is flat and np.array_equal(flat, vec)
+    _assert_packed(model)
+
+
+def test_write_ednn_bytes_are_layer_params_in_order(tmp_path):
+    model = build_ednn(16, (2, 2), "desk", seed=32)
+    write_ednn(tmp_path / "m", model)
+    per_layer = [p.ravel() for layer in _parametric(model) for p in layer.params]
+    expect = np.concatenate(per_layer).astype("<f8").tobytes()
+    assert (tmp_path / "m" / "ednn.f64").read_bytes() == expect

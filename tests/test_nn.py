@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from traceweights.codec import coefficients_to_matrix, matrix_to_coefficients
 from traceweights.mlp import (
     MlpModel,
     TrainConfig,
@@ -19,10 +20,13 @@ from traceweights.mlp import (
     mlp_backward,
     mlp_forward,
     model_accuracy,
+    model_from_dict,
+    model_to_dict,
     train_mlp,
     validate_topology,
 )
 from traceweights.nn import (
+    _ADAM_BLOCK,
     Adam,
     Conv1D,
     ConvTranspose1D,
@@ -286,6 +290,47 @@ def test_adam_two_steps_two_params_match_reference():
         assert abs(w2[0, 1] - vals[2]) < 1e-10
 
 
+class _ArrayAdamRef:
+    """Adam as one whole-array numpy expression per array, with temporaries."""
+
+    def __init__(self, params, lr):
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads, b1=0.9, b2=0.999, eps=1e-8):
+        self.t += 1
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def test_blocked_adam_is_bitwise_the_array_formula():
+    rng = np.random.default_rng(31)
+    # longer than two blocks and not a multiple of one, a single element,
+    # and a 2-d array shorter than a block
+    shapes = [(2 * _ADAM_BLOCK + 123,), (1,), (7, 5)]
+    params = [rng.normal(size=s) for s in shapes]
+    ref_params = [p.copy() for p in params]
+    opt = Adam(params, lr=0.003)
+    ref = _ArrayAdamRef(ref_params, lr=0.003)
+    for step in range(6):
+        if step == 3:
+            opt.lr *= 0.5
+            ref.lr *= 0.5
+        grads = [rng.normal(size=s) for s in shapes]
+        opt.step(params, grads)
+        ref.step(ref_params, grads)
+        for p, q in zip(params, ref_params):
+            assert np.array_equal(p, q)
+
+
 def test_single_weight_squared_loss_gradient_is_eight():
     # f(x) = w*x with w=1, x=2, target 0, squared-error loss: dL/dw = 8.
     rng = np.random.default_rng(0)
@@ -510,3 +555,38 @@ def test_train_mlp_early_stop_and_restore_best():
     assert model_accuracy(model, val[0], val[1]) == pytest.approx(
         max(hist.val_acc), abs=1e-12
     )
+
+
+def _assert_packed(model):
+    arrays = [a for wb in zip(model.weights, model.biases) for a in wb]
+    assert all(np.shares_memory(a, model.flat) for a in arrays)
+    assert np.array_equal(model.flat, np.concatenate([a.ravel() for a in arrays]))
+
+
+def test_every_mlp_constructor_packs_weights_into_flat():
+    topo = (5, 4, 3)
+    model = init_mlp(topo, seed=3)
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    built = MlpModel(topo, weights, biases)
+    weights[0][0, 0] += 1.0  # construction copied, so the model does not see this
+    assert built.weights[0][0, 0] == model.weights[0][0, 0]
+    matrix = coefficients_to_matrix(model)
+    for m in (
+        model,
+        built,
+        model_from_dict(model_to_dict(model)),
+        matrix_to_coefficients(matrix, topo),
+    ):
+        _assert_packed(m)
+        assert np.array_equal(m.flat, model.flat)
+    assert not np.shares_memory(matrix_to_coefficients(matrix, topo).flat, matrix.data)
+
+
+def test_mlp_copy_shares_no_memory():
+    model = init_mlp((4, 3, 2), seed=4)
+    dup = model.copy()
+    _assert_packed(dup)
+    assert np.array_equal(dup.flat, model.flat)
+    for a in [dup.flat, *dup.weights, *dup.biases]:
+        assert not np.shares_memory(a, model.flat)
