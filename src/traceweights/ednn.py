@@ -25,10 +25,10 @@ from .nn import (
     Dense,
     Dropout,
     Flatten,
+    ParamLayer,
     ReLU,
     ReshapeToMatrix,
     ReshapeToSignal,
-    pack,
 )
 
 __all__ = [
@@ -102,17 +102,6 @@ class EdnnModel:
         self.flat[...] = vec.reshape(-1)
 
 
-def _pack_layers(layers) -> tuple[np.ndarray, np.ndarray]:
-    """Move every layer's params and grads into two flat vectors of views."""
-    owners = [layer for layer in layers if layer.params]
-    flat, views = pack([p for layer in owners for p in layer.params])
-    flat_grad, grad_views = pack([g for layer in owners for g in layer.grad_params])
-    for i, layer in enumerate(owners):
-        layer.w, layer.b = layer.params = views[2 * i : 2 * i + 2]
-        layer.grad_params = grad_views[2 * i : 2 * i + 2]
-    return flat, flat_grad
-
-
 def build_ednn(input_len: int, output_shape: tuple[int, int], scale: str, seed: int) -> EdnnModel:
     """Fresh model for ``input_len`` features and a (rows, cols) output."""
     if scale not in _SCALES:
@@ -123,21 +112,28 @@ def build_ednn(input_len: int, output_shape: tuple[int, int], scale: str, seed: 
     if rows < 1 or cols < 1:
         raise ValueError(f"bad output shape {(rows, cols)}")
     widths = _SCALES[scale]
-    rng = np.random.default_rng(seed)
 
-    layers: list = [Dense(input_len, widths["dense"], rng), ReLU(), ReshapeToSignal(1)]
+    layers: list = [Dense(input_len, widths["dense"], None), ReLU(), ReshapeToSignal(1)]
     length = widths["dense"]
     c_prev = 1
     for c_out, k in zip(widths["conv"], _CONV_KERNELS):
-        layers += [Conv1D(c_prev, c_out, k, rng), ReLU()]
+        layers += [Conv1D(c_prev, c_out, k, None), ReLU()]
         length = Conv1D.out_len(length, k)
         c_prev = c_out
     for c_out, k in zip(widths["deconv"], _DECONV_KERNELS):
-        layers += [ConvTranspose1D(c_prev, c_out, k, rng), ReLU(), Dropout(_DROPOUT)]
+        layers += [ConvTranspose1D(c_prev, c_out, k, None), ReLU(), Dropout(_DROPOUT)]
         length = ConvTranspose1D.out_len(length, k)
         c_prev = c_out
-    layers += [Flatten(), Dense(c_prev * length, rows * cols, rng), ReshapeToMatrix(rows, cols)]
-    flat, flat_grad = _pack_layers(layers)
+    layers += [Flatten(), Dense(c_prev * length, rows * cols, None), ReshapeToMatrix(rows, cols)]
+    # each layer draws its init straight into its slice of the one vector
+    owners = [layer for layer in layers if isinstance(layer, ParamLayer)]
+    flat = np.empty(sum(layer.size for layer in owners))
+    flat_grad = np.zeros(flat.size)
+    rng = np.random.default_rng(seed)
+    at = 0
+    for layer in owners:
+        layer.bind(flat[at : at + layer.size], flat_grad[at : at + layer.size], rng)
+        at += layer.size
     return EdnnModel(layers=layers, input_len=input_len, rows=rows, cols=cols, scale=scale,
                      flat=flat, flat_grad=flat_grad)
 

@@ -7,7 +7,7 @@ cross-entropy with optional inverted dropout after each hidden layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,9 +18,9 @@ from .nn import (
     relu,
     relu_grad,
     sigmoid,
-    sigmoid_grad,
     softmax,
     cross_entropy_from_probs,
+    mse_loss,
 )
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "predict_labels",
     "model_accuracy",
     "train_mlp",
+    "train_mlp_stack",
     "model_to_dict",
     "model_from_dict",
 ]
@@ -86,98 +87,145 @@ def init_mlp(topology: Sequence[int], seed: int) -> MlpModel:
     return MlpModel(topo, weights, biases)
 
 
-def _forward_cached(model, x, dropout=0.0, rng=None):
-    """Returns (output, pre_activations, activations, dropout_scales)."""
+def _layer_views(flat, topology):
+    """Per-layer weight and bias views of one model's vector or a stack's block.
+
+    ``flat`` is a (P,) vector laid out as ``MlpModel.flat`` or an (S, P)
+    block of S such rows.  Weights come out (..., fan_in, fan_out) and
+    biases (..., fan_out).
+    """
+    lead = flat.shape[:-1]
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(topology[:-1], topology[1:]):
+        weights.append(flat[..., at : at + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
+        at += fan_in * fan_out
+        biases.append(flat[..., at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+def _forward(weights, biases, x, masks=None):
+    """Returns (output, layer_inputs).
+
+    Every op acts on the last two axes, so one model runs on an (n, d)
+    batch and a stack of S models on an (S, n, d) or shared (n, d) batch.
+    ``masks[i]`` scales hidden layer i's relu output (inverted dropout).
+    """
     a = x
     acts = [x]
-    zs = []
-    masks = []
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        zs.append(z)
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(a, w)
+        z += b[..., None, :]
         if i < last:
             a = relu(z)
-            if dropout > 0.0:
-                mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
-                a = a * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
+            if masks is not None:
+                a *= masks[i]
         else:
-            a = sigmoid(z) if model.topology[-1] == 1 else softmax(z)
+            a = sigmoid(z) if w.shape[-1] == 1 else softmax(z)
         acts.append(a)
-    return a, zs, acts, masks
+    return a, acts
 
 
-def mlp_forward(model, x, train=False, dropout=0.0, rng=None):
-    """Probabilities for a (d,) vector or (n, d) batch."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out, _, _, _ = _forward_cached(
-        model, x2, dropout=dropout if train else 0.0, rng=rng
-    )
-    return out[0] if np.ndim(x) == 1 else out
+def _loss_and_grads(weights, biases, x, targets, loss, masks, grad_w, grad_b):
+    """Mean batch loss per model; writes the gradients into ``grad_w``/``grad_b``.
 
-
-def mlp_backward(model, x, targets, loss="xent", dropout=0.0, rng=None):
-    """Loss and parameter gradients for one batch.
-
-    loss "xent": ``targets`` are integer labels.
-    loss "mse":  ``targets`` matches the output activation shape, and the
-    gradient is chained through the output nonlinearity.
+    loss "xent": ``targets`` are integer labels, (..., n) like the batch.
+    loss "mse" (one model only): ``targets`` matches the output shape,
+    and the gradient is chained through the output nonlinearity.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    out, zs, acts, masks = _forward_cached(model, x, dropout=dropout, rng=rng)
-
+    out, acts = _forward(weights, biases, x, masks)
+    n = out.shape[-2]
     if loss == "xent":
-        labels = np.asarray(targets, dtype=np.int64)
-        if model.topology[-1] == 1:
-            probs2 = np.hstack([1.0 - out, out])
-            loss_val = cross_entropy_from_probs(probs2, labels)
-            dz = (out - labels[:, None]) / n
+        loss_val = cross_entropy_from_probs(out, targets)
+        if out.shape[-1] == 1:
+            dz = (out - targets[..., None]) / n
         else:
-            loss_val = cross_entropy_from_probs(out, labels)
-            onehot = np.zeros_like(out)
-            onehot[np.arange(n), labels] = 1.0
-            dz = (out - onehot) / n
+            dz = (out - (targets[..., None] == np.arange(out.shape[-1]))) / n
     elif loss == "mse":
-        t = np.asarray(targets, dtype=np.float64).reshape(out.shape)
-        diff = out - t
-        loss_val = float(np.sum(diff * diff) / n)
-        dout = (2.0 / n) * diff
-        if model.topology[-1] == 1:
-            dz = dout * sigmoid_grad(zs[-1])
+        loss_val, dout = mse_loss(out, targets)
+        if out.shape[-1] == 1:
+            dz = dout * (out * (1.0 - out))
         else:
             # softmax jacobian row by row: p * (g - <g, p>)
-            inner = np.sum(dout * out, axis=1, keepdims=True)
+            inner = np.sum(dout * out, axis=-1, keepdims=True)
             dz = out * (dout - inner)
     else:
         raise ValueError(f"unknown loss {loss!r}")
 
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[i].swapaxes(-1, -2), dz, out=grad_w[i])
+        np.sum(dz, axis=-2, out=grad_b[i])
         if i > 0:
-            da = dz @ model.weights[i].T
-            if masks[i - 1] is not None:
-                da = da * masks[i - 1]
-            dz = da * relu_grad(zs[i - 1])
-    return loss_val, grads_w, grads_b
+            da = np.matmul(dz, weights[i].swapaxes(-1, -2))
+            if masks is not None:
+                da *= masks[i - 1]
+            # acts[i] > 0 exactly where relu passed and dropout kept the
+            # unit; where dropout dropped it, da is already zero
+            dz = da * relu_grad(acts[i])
+    return loss_val
+
+
+def _dropout_masks(rngs, rate, hidden, n, noise):
+    """Inverted-dropout scales for each hidden layer of an n-row batch.
+
+    ``noise`` is a (..., >= n * sum(hidden)) scratch buffer with one row
+    per generator.  Each generator fills its row with the doubles it would
+    draw layer by layer for its model alone.
+    """
+    drawn = noise[..., : n * sum(hidden)]
+    for row, rng in zip(drawn.reshape(len(rngs), -1), rngs):
+        rng.random(out=row)
+    keep = (drawn >= rate) / (1.0 - rate)
+    masks, at = [], 0
+    for width in hidden:
+        masks.append(keep[..., at : at + n * width].reshape(keep.shape[:-1] + (n, width)))
+        at += n * width
+    return masks
+
+
+def _labels(probs):
+    """Hard labels: argmax over the last axis, or threshold 0.5 for the sigmoid head."""
+    if probs.shape[-1] == 1:
+        return (probs[..., 0] >= 0.5).astype(np.int64)
+    return np.argmax(probs, axis=-1).astype(np.int64)
+
+
+def mlp_forward(model, x):
+    """Probabilities for a (d,) vector or (n, d) batch."""
+    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = _forward(model.weights, model.biases, x2)[0]
+    return out[0] if np.ndim(x) == 1 else out
+
+
+def mlp_backward(model, x, targets, loss="xent"):
+    """Loss and parameter gradients for one batch, without dropout.
+
+    loss "xent": ``targets`` are integer labels.
+    loss "mse":  ``targets`` matches the output activation shape, and the
+    gradient is chained through the output nonlinearity.
+    The gradients are views into one new vector laid out like ``model.flat``.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if loss == "xent":
+        targets = np.asarray(targets, dtype=np.int64)
+    else:
+        targets = np.asarray(targets, dtype=np.float64).reshape(x.shape[0], model.topology[-1])
+    grad_w, grad_b = _layer_views(np.zeros_like(model.flat), model.topology)
+    loss_val = _loss_and_grads(
+        model.weights, model.biases, x, targets, loss, None, grad_w, grad_b
+    )
+    return float(loss_val), grad_w, grad_b
 
 
 def predict_probs(model, x):
-    return mlp_forward(model, x, train=False)
+    return mlp_forward(model, x)
 
 
 def predict_labels(model, x):
     """Hard labels: argmax rows, or threshold 0.5 for the sigmoid head."""
-    p = predict_probs(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    if model.topology[-1] == 1:
-        return (p[:, 0] >= 0.5).astype(np.int64)
-    return np.argmax(p, axis=1).astype(np.int64)
+    return _labels(predict_probs(model, np.atleast_2d(np.asarray(x, dtype=np.float64))))
 
 
 def model_accuracy(model, x, y):
@@ -213,44 +261,82 @@ def train_mlp(model, x, y, cfg: TrainConfig, val=None) -> TrainHistory:
     the learning rate halves after ``lr_halve_after`` epochs without a new
     best validation accuracy, training stops after ``early_stop_patience``
     such epochs, and ``restore_best`` puts the best checkpoint back at the
-    end.  Epoch counters in the history are 1-based.
+    end.  Epoch counters in the history are 1-based.  This is
+    ``train_mlp_stack`` on a stack of one.
+    """
+    return train_mlp_stack([model], x, y, [cfg], val=val)[0]
+
+
+def train_mlp_stack(models, x, y, cfgs, val=None) -> list[TrainHistory]:
+    """Train same-topology models in step and in place; one history each.
+
+    ``cfgs[i]`` configures ``models[i]``, and the configs may differ only
+    in ``seed``.  A stack of S > 1 models trains a copy of their
+    parameters as one (S, P) block: each batch runs through one batched
+    forward and backward, and one Adam steps the whole block.  Each model
+    keeps its own generator and draws from it in the order it would alone
+    (a permutation per epoch, then each batch's dropout masks layer by
+    layer), so every model ends bit-identical to training it by itself.
+    ``val`` drives the schedules described in ``train_mlp`` and needs a
+    single model.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("training set is empty")
-    rng = np.random.default_rng(cfg.seed)
-    opt = Adam([model.flat], lr=cfg.lr)
-    hist = TrainHistory()
+    cfg = cfgs[0]
+    if len(cfgs) != len(models) or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("a stack needs one config per model, differing only in seed")
+    topology = models[0].topology
+    if any(m.topology != topology for m in models):
+        raise ValueError("a stack needs models of one topology")
+    if val is not None and len(models) > 1:
+        raise ValueError("validation-driven training takes one model at a time")
+    flat = models[0].flat if len(models) == 1 else np.stack([m.flat for m in models])
+    lead = flat.shape[:-1]
+    weights, biases = _layer_views(flat, topology)
+    grad = np.zeros_like(flat)
+    grad_w, grad_b = _layer_views(grad, topology)
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    hidden = topology[1:-1]
+    noise = np.empty(lead + (cfg.batch_size * sum(hidden),))
+    opt = Adam([flat], lr=cfg.lr)
+    hists = [TrainHistory() for _ in models]
+    n = x.shape[0]
     best_acc = -1.0
-    best_state = None
+    best_flat = None
     stale = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(x.shape[0])
-        epoch_loss = 0.0
-        for start in range(0, x.shape[0], cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss_val, gw, gb = mlp_backward(
-                model, x[idx], y[idx], loss="xent", dropout=cfg.dropout, rng=rng
+        order = np.reshape([rng.permutation(n) for rng in rngs], lead + (n,))
+        epoch_loss = np.zeros(lead)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[..., start : start + cfg.batch_size]
+            masks = None
+            if cfg.dropout > 0.0:
+                masks = _dropout_masks(rngs, cfg.dropout, hidden, idx.shape[-1], noise)
+            loss_val = _loss_and_grads(
+                weights, biases, x[idx], y[idx], "xent", masks, grad_w, grad_b
             )
-            grad = np.concatenate([a.ravel() for wb in zip(gw, gb) for a in wb])
-            opt.step([model.flat], [grad])
-            epoch_loss += loss_val * len(idx)
-        hist.train_loss.append(epoch_loss / x.shape[0])
-        hist.train_acc.append(model_accuracy(model, x, y))
-        hist.stopped_epoch = epoch
+            opt.step([flat], [grad])
+            epoch_loss += loss_val * idx.shape[-1]
+        accs = np.mean(_labels(_forward(weights, biases, x)[0]) == y, axis=-1)
+        for hist, loss_s, acc_s in zip(hists, np.atleast_1d(epoch_loss / n), np.atleast_1d(accs)):
+            hist.train_loss.append(float(loss_s))
+            hist.train_acc.append(float(acc_s))
+            hist.stopped_epoch = epoch
 
         if val is None:
             continue
-        acc = model_accuracy(model, val[0], val[1])
+        hist = hists[0]
+        acc = model_accuracy(models[0], val[0], val[1])
         hist.val_acc.append(acc)
         if acc > best_acc:
             best_acc = acc
             hist.best_epoch = epoch
             stale = 0
             if cfg.restore_best:
-                best_state = model.copy()
+                best_flat = flat.copy()
         else:
             stale += 1
             if cfg.lr_halve_after is not None and stale == cfg.lr_halve_after:
@@ -258,9 +344,12 @@ def train_mlp(model, x, y, cfg: TrainConfig, val=None) -> TrainHistory:
             if cfg.early_stop_patience is not None and stale >= cfg.early_stop_patience:
                 break
 
-    if val is not None and cfg.restore_best and best_state is not None:
-        model.flat[...] = best_state.flat
-    return hist
+    if best_flat is not None:
+        flat[...] = best_flat
+    if len(models) > 1:
+        for model, row in zip(models, flat):
+            model.flat[...] = row
+    return hists
 
 
 def model_to_dict(model) -> dict:

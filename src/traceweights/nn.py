@@ -8,6 +8,8 @@ central finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -15,13 +17,13 @@ __all__ = [
     "relu",
     "relu_grad",
     "sigmoid",
-    "sigmoid_grad",
     "softmax",
     "mse_loss",
     "cross_entropy_from_probs",
     "dropout_apply",
     "Adam",
     "pack",
+    "ParamLayer",
     "Dense",
     "Conv1D",
     "ConvTranspose1D",
@@ -53,13 +55,8 @@ def sigmoid(x):
     return out
 
 
-def sigmoid_grad(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
 def softmax(x):
-    """Row-wise softmax of a (n, c) array."""
+    """Softmax over the last axis."""
     z = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
@@ -83,12 +80,16 @@ def mse_loss(pred, target):
 def cross_entropy_from_probs(probs, labels):
     """Mean negative log-likelihood of integer labels under row probs.
 
-    ``probs`` is (n, c); for a single-unit sigmoid head pass the
-    two-column form [1-p, p].  Probabilities are floored at 1e-12.
+    ``probs`` is (..., n, c) and ``labels`` (..., n); the mean runs over
+    n, one per leading index.  A single column (c == 1) is a sigmoid
+    head's probability of label 1.  Probabilities are floored at 1e-12.
     """
-    n = probs.shape[0]
-    p = np.clip(probs[np.arange(n), labels], 1e-12, None)
-    return float(-np.mean(np.log(p)))
+    labels = np.asarray(labels)[..., None]
+    if probs.shape[-1] == 1:
+        p = np.where(labels == 1, probs, 1.0 - probs)[..., 0]
+    else:
+        p = probs[labels == np.arange(probs.shape[-1])].reshape(labels.shape[:-1])
+    return -np.mean(np.log(np.clip(p, 1e-12, None)), axis=-1)
 
 
 def dropout_apply(x, rate, rng):
@@ -178,19 +179,49 @@ def pack(arrays):
     return flat, views
 
 
-def _uniform_fan_in(rng, fan_in, shape):
+def _uniform_fan_in(rng, fan_in, out):
+    """Fill ``out`` in place with the doubles ``rng.uniform(-bound, bound)`` gives.
+
+    bound = sqrt(1/fan_in).  ``out`` must be C-contiguous.
+    """
     bound = np.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    rng.random(out=out)
+    out *= bound - -bound
+    out += -bound
 
 
-class Dense:
+class ParamLayer:
+    """A layer with one weight and one bias array, uniform in +-sqrt(1/fan_in).
+
+    A layer built with an ``rng`` owns fresh arrays and is initialized at
+    once.  One built with ``rng=None`` has no parameters until ``bind``
+    gives it storage, which lets a model keep every layer in one vector.
+    """
+
+    def _setup(self, fan_in, w_shape, b_shape, rng):
+        self.fan_in = fan_in
+        self.w_shape = w_shape
+        self.size = math.prod(w_shape) + math.prod(b_shape)
+        if rng is not None:
+            self.bind(np.empty(self.size), np.zeros(self.size), rng)
+
+    def bind(self, flat, flat_grad, rng):
+        """Point ``w``/``b`` and their grads at ``flat``/``flat_grad``, then draw the init.
+
+        Each slice holds ``size`` elements: the weight, then the bias, C order.
+        """
+        n = math.prod(self.w_shape)
+        self.w, self.b = self.params = [flat[:n].reshape(self.w_shape), flat[n:]]
+        self.grad_params = [flat_grad[:n].reshape(self.w_shape), flat_grad[n:]]
+        for p in self.params:
+            _uniform_fan_in(rng, self.fan_in, p)
+
+
+class Dense(ParamLayer):
     """Affine layer: (n, fan_in) -> (n, fan_out)."""
 
     def __init__(self, fan_in, fan_out, rng):
-        self.w = _uniform_fan_in(rng, fan_in, (fan_in, fan_out))
-        self.b = _uniform_fan_in(rng, fan_in, (fan_out,))
-        self.params = [self.w, self.b]
-        self.grad_params = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self._setup(fan_in, (fan_in, fan_out), (fan_out,), rng)
         self._x = None
 
     def forward(self, x, train=False, rng=None):
@@ -203,7 +234,7 @@ class Dense:
         return dout @ self.w.T
 
 
-class Conv1D:
+class Conv1D(ParamLayer):
     """Valid (no padding) 1-d convolution: (n, c_in, l) -> (n, c_out, l_out).
 
     l_out = (l - kernel) // stride + 1.  Weights are (c_out, c_in, kernel).
@@ -214,11 +245,7 @@ class Conv1D:
             raise ValueError("kernel and stride must be >= 1")
         self.kernel = kernel
         self.stride = stride
-        fan_in = c_in * kernel
-        self.w = _uniform_fan_in(rng, fan_in, (c_out, c_in, kernel))
-        self.b = _uniform_fan_in(rng, fan_in, (c_out,))
-        self.params = [self.w, self.b]
-        self.grad_params = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self._setup(c_in * kernel, (c_out, c_in, kernel), (c_out,), rng)
         self._win = None
         self._in_len = None
 
@@ -250,7 +277,7 @@ class Conv1D:
         return dx
 
 
-class ConvTranspose1D:
+class ConvTranspose1D(ParamLayer):
     """Transposed 1-d convolution: (n, c_in, l) -> (n, c_out, l_out).
 
     l_out = (l - 1) * stride + kernel.  Weights are (c_in, c_out, kernel).
@@ -263,11 +290,7 @@ class ConvTranspose1D:
             raise ValueError("kernel and stride must be >= 1")
         self.kernel = kernel
         self.stride = stride
-        fan_in = c_in * kernel
-        self.w = _uniform_fan_in(rng, fan_in, (c_in, c_out, kernel))
-        self.b = _uniform_fan_in(rng, fan_in, (c_out,))
-        self.params = [self.w, self.b]
-        self.grad_params = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self._setup(c_in * kernel, (c_in, c_out, kernel), (c_out,), rng)
         self._x = None
 
     @staticmethod

@@ -43,7 +43,15 @@ from .ednn import (
     train_ednn,
     write_ednn,
 )
-from .mlp import MlpModel, TrainConfig, TrainHistory, init_mlp, train_mlp, validate_topology
+from .mlp import (
+    MlpModel,
+    TrainConfig,
+    TrainHistory,
+    init_mlp,
+    train_mlp,
+    train_mlp_stack,
+    validate_topology,
+)
 from .reduction import PcaModel, Standardizer, pca_fit, pca_transform, write_reduction
 from .seeding import derive_seed, digest_of
 
@@ -166,10 +174,11 @@ def prepare_pairs(
 ) -> TracePairs:
     """One (trace, matrix) pair per chunk x repetition.
 
-    Pair i uses device seed ``base XOR i`` where base is derived from the
-    master seed and the iteration, so pairs are independent of the order
-    they are simulated in.  Surrogate training quality is recorded, not
-    gated.
+    A chunk's ``reps`` surrogates train as one stack (``train_mlp_stack``),
+    bit-identical to training them one by one.  Pair i uses device seed
+    ``base XOR i`` where base is derived from the master seed and the
+    iteration, so pairs are independent of the order they are simulated
+    in.  Surrogate training quality is recorded, not gated.
     """
     rows, cols = matrix_shape(cfg.topology)
     device_base = derive_seed(cfg.master_seed, "phase1", iteration, "device")
@@ -181,22 +190,22 @@ def prepare_pairs(
                 f"chunk {ci} ({chunk_ds.d} features, {chunk_ds.n_classes} classes) "
                 f"does not fit topology {cfg.topology} / {cfg.task.n_classes} classes"
             )
+        surs, train_cfgs = [], []
         for rep in range(cfg.reps):
             init_seed = derive_seed(cfg.master_seed, "phase1", iteration, "sur-init", ci, rep)
             train_seed = derive_seed(cfg.master_seed, "phase1", iteration, "sur-train", ci, rep)
-            sur = init_mlp(cfg.topology, init_seed)
-            hist = train_mlp(
-                sur,
-                chunk_ds.x,
-                chunk_ds.y,
+            surs.append(init_mlp(cfg.topology, init_seed))
+            train_cfgs.append(
                 TrainConfig(
                     epochs=cfg.surrogate.epochs,
                     batch_size=cfg.surrogate.batch_size,
                     lr=cfg.surrogate.lr,
                     dropout=cfg.surrogate.dropout,
                     seed=train_seed,
-                ),
+                )
             )
+        hists = train_mlp_stack(surs, chunk_ds.x, chunk_ds.y, train_cfgs)
+        for sur, hist in zip(surs, hists):
             trace = simulate_trace(
                 sur, fixed.values, cfg.device, seed=device_base ^ pair_index
             )

@@ -72,6 +72,27 @@ def test_build_is_seed_deterministic():
     assert not np.array_equal(a.param_vector(), c.param_vector())
 
 
+def test_build_draws_each_layer_in_order_as_rng_uniform():
+    model = build_ednn(32, (2, 3), "desk", seed=7)
+    rng = np.random.default_rng(7)
+    ref = []
+    for layer in model.layers:
+        if isinstance(layer, Dense):
+            fan_in = layer.w.shape[0]
+        elif isinstance(layer, Conv1D):
+            fan_in = layer.w.shape[1] * layer.w.shape[2]
+        elif isinstance(layer, ConvTranspose1D):
+            fan_in = layer.w.shape[0] * layer.w.shape[2]
+        else:
+            continue
+        bound = np.sqrt(1.0 / fan_in)
+        ref += [rng.uniform(-bound, bound, layer.w.shape).ravel(),
+                rng.uniform(-bound, bound, layer.b.shape)]
+    assert len(ref) == 14
+    assert np.array_equal(model.flat, np.concatenate(ref))
+    assert model.flat_grad.shape == model.flat.shape and not model.flat_grad.any()
+
+
 def test_ednn_accuracy_frozen_examples():
     truth = np.zeros((2, 2))
     assert ednn_accuracy(truth, truth, tau=0.05) == 1.0

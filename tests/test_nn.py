@@ -8,6 +8,7 @@ is loose on purpose.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from traceweights.mlp import (
     model_from_dict,
     model_to_dict,
     train_mlp,
+    train_mlp_stack,
     validate_topology,
 )
 from traceweights.nn import (
     _ADAM_BLOCK,
+    _uniform_fan_in,
     Adam,
     Conv1D,
     ConvTranspose1D,
@@ -491,6 +494,15 @@ def test_init_mlp_bounds_and_determinism():
         assert np.max(np.abs(bias)) <= bound
 
 
+def test_in_place_uniform_init_is_bitwise_rng_uniform():
+    for fan_in, shape in [(1, (1,)), (3, (3,)), (7, (7, 5)), (512, (4, 128, 4))]:
+        out = np.empty(shape)
+        _uniform_fan_in(np.random.default_rng(fan_in), fan_in, out)
+        bound = np.sqrt(1.0 / fan_in)
+        ref = np.random.default_rng(fan_in).uniform(-bound, bound, shape)
+        assert np.array_equal(out, ref)
+
+
 def test_validate_topology_rejects_bad_shapes():
     with pytest.raises(ValueError):
         validate_topology([4])
@@ -555,6 +567,47 @@ def test_train_mlp_early_stop_and_restore_best():
     assert model_accuracy(model, val[0], val[1]) == pytest.approx(
         max(hist.val_acc), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("stack", [2, 5])
+@pytest.mark.parametrize("topo", [(4, 6, 5, 1), (4, 6, 3)])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_stack_trains_bit_identical_to_one_model_at_a_time(stack, topo, dropout):
+    rng = np.random.default_rng(11)
+    n = 37  # batches of 16, 16 and a partial 5
+    x = rng.normal(size=(n, topo[0]))
+    y = rng.integers(0, 2 if topo[-1] == 1 else topo[-1], size=n)
+    cfgs = [
+        TrainConfig(epochs=3, batch_size=16, lr=0.01, dropout=dropout, seed=40 + s)
+        for s in range(stack)
+    ]
+    alone = [init_mlp(topo, seed=20 + s) for s in range(stack)]
+    stacked = [m.copy() for m in alone]
+    hists_alone = [train_mlp(m, x, y, c) for m, c in zip(alone, cfgs)]
+    hists_stack = train_mlp_stack(stacked, x, y, cfgs)
+    assert len(hists_stack) == stack
+    for a, b, ha, hb in zip(alone, stacked, hists_alone, hists_stack):
+        _assert_packed(b)
+        assert np.array_equal(a.flat, b.flat)
+        assert ha.train_loss == hb.train_loss
+        assert ha.train_acc == hb.train_acc
+        assert hb.stopped_epoch == 3
+    assert not np.array_equal(alone[0].flat, init_mlp(topo, seed=20).flat)
+
+
+def test_train_mlp_stack_rejects_mixed_configs_topologies_and_val():
+    x = np.zeros((4, 2))
+    y = np.array([0, 1, 0, 1])
+    models = [init_mlp((2, 3, 1), seed=s) for s in range(2)]
+    cfg = TrainConfig(epochs=1)
+    with pytest.raises(ValueError):
+        train_mlp_stack(models, x, y, [cfg, replace(cfg, lr=0.1)])
+    with pytest.raises(ValueError):
+        train_mlp_stack(models, x, y, [cfg])
+    with pytest.raises(ValueError):
+        train_mlp_stack([models[0], init_mlp((2, 4, 1), seed=0)], x, y, [cfg, cfg])
+    with pytest.raises(ValueError):
+        train_mlp_stack(models, x, y, [cfg, replace(cfg, seed=1)], val=(x, y))
 
 
 def _assert_packed(model):

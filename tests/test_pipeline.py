@@ -11,7 +11,7 @@ import pytest
 
 from traceweights.codec import coefficients_to_matrix, matrix_shape
 from traceweights.datasets import TaskSpec, gen_synthetic, sample_dsmall
-from traceweights.device import DeviceConfig
+from traceweights.device import DeviceConfig, simulate_trace
 from traceweights.ednn import EdnnTrainConfig
 from traceweights.mlp import TrainConfig, init_mlp, model_accuracy, train_mlp
 from traceweights.pipeline import (
@@ -29,6 +29,7 @@ from traceweights.pipeline import (
     split_counts,
     translate_trace,
 )
+from traceweights.seeding import derive_seed
 
 TASK = TaskSpec(name="pico", n_features=3, n_classes=2, separation=2.0, seed=1)
 DEVICE = DeviceConfig(
@@ -147,6 +148,35 @@ def test_prepare_pairs_is_deterministic():
     b, _ = _pairs(cfg)
     assert a.traces.tobytes() == b.traces.tobytes()
     assert a.matrices.tobytes() == b.matrices.tobytes()
+
+
+def test_prepare_pairs_matches_training_one_surrogate_at_a_time():
+    from traceweights.datasets import chunk
+
+    sur_cfg = SurrogateTrainConfig(epochs=4, batch_size=8, lr=0.01, dropout=0.3)
+    cfg = tiny_config(reps=3, surrogate=sur_cfg)
+    pairs, fixed = _pairs(cfg)
+    chunks = chunk(gen_synthetic(cfg.task, cfg.pool_size, seed=3), 2)
+    device_base = derive_seed(cfg.master_seed, "phase1", 1, "device")
+    traces, matrices, accs = [], [], []
+    for ci, ds in enumerate(chunks):
+        for rep in range(cfg.reps):
+            sur = init_mlp(cfg.topology, derive_seed(7, "phase1", 1, "sur-init", ci, rep))
+            train_cfg = TrainConfig(
+                epochs=4, batch_size=8, lr=0.01, dropout=0.3,
+                seed=derive_seed(7, "phase1", 1, "sur-train", ci, rep),
+            )
+            accs.append(train_mlp(sur, ds.x, ds.y, train_cfg).train_acc[-1])
+            trace = simulate_trace(sur, fixed.values, cfg.device, seed=device_base ^ len(traces))
+            traces.append(trace.samples)
+            matrices.append(coefficients_to_matrix(sur).data)
+
+    def f32(a):
+        return np.asarray(a).astype(np.float32).astype(np.float64)
+
+    assert np.array_equal(pairs.traces, f32(traces))
+    assert np.array_equal(pairs.matrices, f32(matrices))
+    assert np.array_equal(pairs.surrogate_train_acc, np.asarray(accs))
 
 
 def test_phase1_theta_zero_stops_after_one_iteration():
