@@ -3,8 +3,8 @@
 The numeric criteria (gradients, oracles, codec, device law) run
 in-process against independent reference computations.  The run-level
 criteria read the full desk-scale experiment, master seed 7, driven
-twice through the CLI module (``python -m traceweights.cli``); that
-session fixture dominates the suite's runtime.
+twice through the installed CLI; that session fixture dominates the
+suite's runtime.
 
 Run with: pytest tests/test_acceptance.py -v
 """
@@ -50,9 +50,7 @@ def desk_runs(tmp_path_factory):
         out = base / name
         proc = subprocess.run(
             [
-                sys.executable,
-                "-m",
-                "traceweights.cli",
+                "traceweights",
                 "experiment",
                 "--scale",
                 "desk",
