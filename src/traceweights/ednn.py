@@ -113,7 +113,7 @@ def build_ednn(input_len: int, output_shape: tuple[int, int], scale: str, seed: 
         raise ValueError(f"bad output shape {(rows, cols)}")
     widths = _SCALES[scale]
 
-    layers: list = [Dense(input_len, widths["dense"], None), ReLU(), ReshapeToSignal(1)]
+    layers: list = [Dense(input_len, widths["dense"], None), ReLU(), ReshapeToSignal()]
     length = widths["dense"]
     c_prev = 1
     for c_out, k in zip(widths["conv"], _CONV_KERNELS):

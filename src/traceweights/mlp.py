@@ -16,7 +16,6 @@ from .nn import (
     Adam,
     pack,
     relu,
-    relu_grad,
     sigmoid,
     softmax,
     cross_entropy_from_probs,
@@ -163,7 +162,7 @@ def _loss_and_grads(weights, biases, x, targets, loss, masks, grad_w, grad_b):
                 da *= masks[i - 1]
             # acts[i] > 0 exactly where relu passed and dropout kept the
             # unit; where dropout dropped it, da is already zero
-            dz = da * relu_grad(acts[i])
+            dz = np.multiply(da, acts[i] > 0.0, out=da)
     return loss_val
 
 

@@ -4,6 +4,18 @@ Float64 throughout.  Layers cache what their backward pass needs, so the
 usage pattern is forward -> backward -> read ``grad_params``.  There is no
 autodiff: each layer kind carries a hand-written backward, checked against
 central finite differences in the test suite.
+
+Signal layout.  Conv1D and ConvTranspose1D take and return (n, c, l)
+arrays but run the whole batch as one channel-major signal: a
+C-contiguous (c, n * pitch) buffer whose row ch holds channel ch of every
+sample end to end, sample i in columns i * pitch .. i * pitch + l - 1,
+followed by pitch - l zero columns (its tail).  Each layer returns an
+(n, c, l) view of such a buffer and reads one it is given in place, so
+activations pass from conv layer to conv layer without a transpose copy,
+and every kernel tap is one matrix product over all n samples: a shifted
+slice that runs into the next sample meets only tail zeros, or lands in
+output columns that are zeroed afterwards.  ReLU and Dropout work in place
+on these views.  An input laid out any other way is copied into a buffer.
 """
 
 from __future__ import annotations
@@ -11,11 +23,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "relu",
-    "relu_grad",
     "sigmoid",
     "softmax",
     "mse_loss",
@@ -38,11 +48,6 @@ __all__ = [
 def relu(x):
     """Elementwise max(x, 0)."""
     return np.maximum(x, 0.0)
-
-
-def relu_grad(x):
-    """Derivative of relu wrt its input (0 at the kink)."""
-    return (x > 0.0).astype(np.float64)
 
 
 def sigmoid(x):
@@ -234,10 +239,123 @@ class Dense(ParamLayer):
         return dout @ self.w.T
 
 
+def _buffer_of(x):
+    """The zero-tailed channel-major buffer that ``x`` views, and its pitch.
+
+    ``x`` (n, c, l) views a buffer when one C-contiguous float64 array,
+    read as (c, n * pitch) with pitch >= l, holds x[i, ch, t] at row ch,
+    column i * pitch + t, and its other columns (each sample's tail) are
+    zero.  Returns ``(buffer, pitch)``, or None when ``x`` is anything else.
+    """
+    n, c, l = x.shape
+    base = x if x.base is None else x.base
+    s_n, s_c, s_l = x.strides
+    if (not isinstance(base, np.ndarray) or x.dtype != np.float64
+            or base.dtype != np.float64 or not base.flags.c_contiguous
+            or s_l != 8 or s_n % 8 or s_n < 8 * l):
+        return None
+    pitch = s_n // 8
+    if (c > 1 and s_c != 8 * n * pitch) or base.size != c * n * pitch:
+        return None
+    if x.__array_interface__["data"][0] != base.__array_interface__["data"][0]:
+        return None
+    buf = base.reshape(c, n * pitch)
+    if l < pitch and buf.reshape(c, n, pitch)[:, :, l:].any():
+        return None
+    return buf, pitch
+
+
+def _signal(x, step=1, pitch=None, at_least=0):
+    """``x`` (n, c, l) as a zero-tailed channel-major buffer; returns (buffer, pitch).
+
+    Sample i's position t sits in column i * pitch + t * step, and every
+    other column is zero.  The pitch is ``pitch`` if given, else any value
+    >= ``at_least`` and >= the span (l - 1) * step + 1.  With step 1 the
+    buffer ``x`` already views is used when its pitch qualifies; otherwise
+    ``x`` is copied into a new one.
+    """
+    n, c, l = x.shape
+    span = (l - 1) * step + 1
+    if step == 1:
+        found = _buffer_of(x)
+        if found is not None and (found[1] == pitch if pitch else found[1] >= at_least):
+            return found
+    pitch = pitch or max(span, at_least)
+    buf = np.zeros((c, n * pitch))
+    _view(buf, n, span, step)[...] = x
+    return buf, pitch
+
+
+def _whole(x):
+    """The buffer ``x`` views, tails included, or ``x`` itself.
+
+    Elementwise maps that send 0 to 0 can run on it in one pass.
+    """
+    found = _buffer_of(x) if x.ndim == 3 else None
+    return x if found is None else found[0]
+
+
+def _view(buf, n, length, step=1):
+    """(n, c, length) view of every ``step``-th column of each sample of ``buf``."""
+    return buf.reshape(buf.shape[0], n, -1)[:, :, :length:step].transpose(1, 0, 2)
+
+
+def _zero_tails(buf, n, length):
+    buf.reshape(buf.shape[0], n, -1)[:, :, length:] = 0.0
+
+
+def _tap_sum(taps, x, direction):
+    """out[:, j] = sum_k taps[k] @ x[:, j + direction * k] over the whole batch.
+
+    ``taps`` is (kernel, rows, depth), ``x`` is (depth, cols) and
+    ``direction`` is +1 (correlation) or -1 (convolution, its adjoint);
+    columns of ``x`` outside [0, cols) read as zero.  The shifts are done
+    on whichever side has fewer rows: with depth < rows, the kernel
+    shifted copies of ``x`` are stacked along the contraction for one
+    product; otherwise each tap is one product whose result is added into
+    ``out`` at its shift.
+    """
+    kernel, rows, depth = taps.shape
+    cols = x.shape[1]
+
+    def shifted(k):  # (columns of out, columns of x) that tap k pairs up
+        if direction > 0:
+            return slice(0, cols - k), slice(k, cols)
+        return slice(k, cols), slice(0, cols - k)
+
+    out = np.empty((rows, cols))
+    if depth < rows:
+        stacked = np.zeros((kernel, depth, cols))
+        for k in range(kernel):
+            at, src = shifted(k)
+            stacked[k, :, at] = x[:, src]
+        flat_taps = taps.transpose(1, 0, 2).reshape(rows, kernel * depth)
+        return np.matmul(flat_taps, stacked.reshape(kernel * depth, cols), out=out)
+    np.matmul(taps[0], x, out=out)
+    tmp = np.empty((rows, cols))
+    for k in range(1, kernel):
+        at, src = shifted(k)
+        part = np.matmul(taps[k], x[:, src], out=tmp[:, : cols - k])
+        out[:, at] += part
+    return out
+
+
+def _tap_products(a, b, kernel):
+    """out[k] = sum_j a[:, j] b[:, j + k]^T for each tap k: the weight gradient."""
+    cols = a.shape[1]
+    out = np.empty((kernel, a.shape[0], b.shape[0]))
+    for k in range(kernel):
+        np.matmul(a[:, : cols - k], b[:, k:].T, out=out[k])
+    return out
+
+
 class Conv1D(ParamLayer):
     """Valid (no padding) 1-d convolution: (n, c_in, l) -> (n, c_out, l_out).
 
     l_out = (l - kernel) // stride + 1.  Weights are (c_out, c_in, kernel).
+    The batch runs as one channel-major signal (see the module docstring),
+    so each tap is one matrix product over every sample.  A stride above 1
+    runs the stride-1 convolution and keeps every stride-th output.
     """
 
     def __init__(self, c_in, c_out, kernel, rng, stride=1):
@@ -246,8 +364,7 @@ class Conv1D(ParamLayer):
         self.kernel = kernel
         self.stride = stride
         self._setup(c_in * kernel, (c_out, c_in, kernel), (c_out,), rng)
-        self._win = None
-        self._in_len = None
+        self._x = None
 
     @staticmethod
     def out_len(l, kernel, stride=1):
@@ -256,25 +373,22 @@ class Conv1D(ParamLayer):
         return (l - kernel) // stride + 1
 
     def forward(self, x, train=False, rng=None):
-        self._in_len = x.shape[2]
-        win = sliding_window_view(x, self.kernel, axis=2)[:, :, :: self.stride, :]
-        self._win = win
-        out = np.einsum("nclk,ock->nol", win, self.w, optimize=True)
-        return out + self.b[None, :, None]
+        n, _, l = x.shape
+        full = self.out_len(l, self.kernel)
+        xb, pitch = _signal(x)
+        self._x, self._n, self._pitch, self._in_len = xb, n, pitch, l
+        out = _tap_sum(np.moveaxis(self.w, 2, 0), xb, +1)
+        out += self.b[:, None]
+        _zero_tails(out, n, full)
+        return _view(out, n, full, self.stride)
 
     def backward(self, dout):
-        self.grad_params[0][...] = np.einsum(
-            "nclk,nol->ock", self._win, dout, optimize=True
-        )
-        self.grad_params[1][...] = dout.sum(axis=(0, 2))
-        n, _, l_out = dout.shape
-        c_in = self.w.shape[1]
-        dx = np.zeros((n, c_in, self._in_len), dtype=np.float64)
-        # one scatter per kernel tap keeps this a handful of GEMMs
-        for k in range(self.kernel):
-            contrib = np.einsum("nol,oc->ncl", dout, self.w[:, :, k], optimize=True)
-            dx[:, :, k : k + l_out * self.stride : self.stride] += contrib
-        return dx
+        n, pitch, kernel = self._n, self._pitch, self.kernel
+        dy, _ = _signal(dout, self.stride, pitch=pitch)
+        self.grad_params[0][...] = np.moveaxis(_tap_products(dy, self._x, kernel), 0, 2)
+        self.grad_params[1][...] = dy.sum(axis=1)
+        dx = _tap_sum(np.moveaxis(self.w, 2, 0).transpose(0, 2, 1), dy, -1)
+        return _view(dx, n, self._in_len)
 
 
 class ConvTranspose1D(ParamLayer):
@@ -282,7 +396,8 @@ class ConvTranspose1D(ParamLayer):
 
     l_out = (l - 1) * stride + kernel.  Weights are (c_in, c_out, kernel).
     The forward pass is the adjoint of Conv1D's forward, so every input
-    position spreads across ``kernel`` output positions.
+    position spreads across ``kernel`` output positions.  A stride above 1
+    inserts stride - 1 zeros between input positions and runs stride 1.
     """
 
     def __init__(self, c_in, c_out, kernel, rng, stride=1):
@@ -298,31 +413,33 @@ class ConvTranspose1D(ParamLayer):
         return (l - 1) * stride + kernel
 
     def forward(self, x, train=False, rng=None):
-        self._x = x
         n, _, l = x.shape
-        c_out = self.w.shape[1]
         l_out = self.out_len(l, self.kernel, self.stride)
-        out = np.zeros((n, c_out, l_out), dtype=np.float64)
-        for k in range(self.kernel):
-            contrib = np.einsum("ncl,co->nol", x, self.w[:, :, k], optimize=True)
-            out[:, :, k : k + l * self.stride : self.stride] += contrib
-        return out + self.b[None, :, None]
+        xb, pitch = _signal(x, self.stride, at_least=l_out)
+        self._x, self._n, self._pitch, self._in_len = xb, n, pitch, l
+        out = _tap_sum(np.moveaxis(self.w, 2, 0).transpose(0, 2, 1), xb, -1)
+        out += self.b[:, None]
+        _zero_tails(out, n, l_out)
+        return _view(out, n, l_out)
 
     def backward(self, dout):
-        x = self._x
-        l = x.shape[2]
-        dx = np.zeros_like(x)
-        dw = self.grad_params[0]
-        dw[...] = 0.0
-        for k in range(self.kernel):
-            sl = dout[:, :, k : k + l * self.stride : self.stride]
-            dw[:, :, k] = np.einsum("ncl,nol->co", x, sl, optimize=True)
-            dx += np.einsum("nol,co->ncl", sl, self.w[:, :, k], optimize=True)
-        self.grad_params[1][...] = dout.sum(axis=(0, 2))
-        return dx
+        n, kernel = self._n, self.kernel
+        dy, _ = _signal(dout, pitch=self._pitch)
+        self.grad_params[0][...] = np.moveaxis(_tap_products(self._x, dy, kernel), 0, 2)
+        self.grad_params[1][...] = dy.sum(axis=1)
+        dx = _tap_sum(np.moveaxis(self.w, 2, 0), dy, +1)
+        span = (self._in_len - 1) * self.stride + 1
+        _zero_tails(dx, n, span)
+        return _view(dx, n, span, self.stride)
 
 
 class ReLU:
+    """max(x, 0), computed in place on the input.
+
+    A channel-major signal is processed as its whole buffer, zero tails
+    included, which relu leaves zero.
+    """
+
     params: list = []
     grad_params: list = []
 
@@ -331,14 +448,25 @@ class ReLU:
 
     def forward(self, x, train=False, rng=None):
         self._x = x
-        return relu(x)
+        whole = _whole(x)
+        np.maximum(whole, 0.0, out=whole)
+        return x
 
     def backward(self, dout):
-        return dout * relu_grad(self._x)
+        d, out = _whole(dout), _whole(self._x)
+        if d.shape != out.shape:
+            d, out = dout, self._x
+        # out > 0 exactly where the input was > 0
+        np.multiply(d, out > 0.0, out=d)
+        return dout
 
 
 class Dropout:
-    """Inverted dropout layer; identity when not training."""
+    """Inverted dropout layer, in place on its input; identity when not training.
+
+    The keep decisions come from ``rng.random(x.shape)``, drawn in
+    (n, c, l) order whatever the input's memory layout.
+    """
 
     params: list = []
     grad_params: list = []
@@ -353,13 +481,14 @@ class Dropout:
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
+        draws = rng.random(x.shape)
+        self._mask = np.multiply(draws >= self.rate, 1.0 / (1.0 - self.rate), out=draws)
+        return np.multiply(x, self._mask, out=x)
 
     def backward(self, dout):
         if self._mask is None:
             return dout
-        return dout * self._mask
+        return np.multiply(dout, self._mask, out=dout)
 
 
 class Flatten:
@@ -378,17 +507,13 @@ class Flatten:
 
 
 class ReshapeToSignal:
-    """(n, f) -> (n, channels, f // channels)."""
+    """(n, f) -> (n, 1, f): a one-channel signal."""
 
     params: list = []
     grad_params: list = []
 
-    def __init__(self, channels=1):
-        self.channels = channels
-
     def forward(self, x, train=False, rng=None):
-        n, f = x.shape
-        return x.reshape(n, self.channels, f // self.channels)
+        return x.reshape(x.shape[0], 1, x.shape[1])
 
     def backward(self, dout):
         return dout.reshape(dout.shape[0], -1)

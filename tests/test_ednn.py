@@ -244,6 +244,18 @@ def test_checkpoint_round_trip(tmp_path):
         back.load_param_vector(np.zeros(5))
 
 
+def test_training_twice_from_one_seed_is_byte_identical():
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(30, 24))
+    y = rng.uniform(-0.5, 0.5, size=(30, 3, 4))
+    flats = []
+    for _ in range(2):
+        model = build_ednn(24, (3, 4), "desk", seed=34)
+        train_ednn(model, x, y, EdnnTrainConfig(epochs=2, batch_size=8, seed=35), theta=2.0)
+        flats.append(model.flat.tobytes())
+    assert flats[0] == flats[1]
+
+
 def test_warm_optimizer_continues_across_calls():
     rng = np.random.default_rng(25)
     x = rng.normal(size=(10, 16))

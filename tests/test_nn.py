@@ -12,8 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from traceweights.codec import coefficients_to_matrix, matrix_to_coefficients
+from traceweights.ednn import build_ednn
 from traceweights.mlp import (
     MlpModel,
     TrainConfig,
@@ -29,6 +31,7 @@ from traceweights.mlp import (
 )
 from traceweights.nn import (
     _ADAM_BLOCK,
+    _buffer_of,
     _uniform_fan_in,
     Adam,
     Conv1D,
@@ -421,6 +424,156 @@ def test_conv_transpose_adjoint_of_conv():
     lhs = float(np.sum(conv.forward(x) * y))
     rhs = float(np.sum(x * tconv.forward(y)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# ------------------------------------------------ reference conv kernels
+# The per-sample einsum and per-tap kernels the layers used before they ran
+# the batch as one channel-major signal; the layers must match them up to
+# summation order.
+
+
+def _ref_conv_forward(x, w, b, stride):
+    win = sliding_window_view(x, w.shape[2], axis=2)[:, :, ::stride, :]
+    return np.einsum("nclk,ock->nol", win, w, optimize=True) + b[None, :, None]
+
+
+def _ref_conv_backward(x, w, dout, stride):
+    kernel = w.shape[2]
+    win = sliding_window_view(x, kernel, axis=2)[:, :, ::stride, :]
+    dw = np.einsum("nclk,nol->ock", win, dout, optimize=True)
+    db = dout.sum(axis=(0, 2))
+    n, _, l_out = dout.shape
+    dx = np.zeros(x.shape)
+    for k in range(kernel):
+        contrib = np.einsum("nol,oc->ncl", dout, w[:, :, k], optimize=True)
+        dx[:, :, k : k + l_out * stride : stride] += contrib
+    return dx, dw, db
+
+
+def _ref_deconv_forward(x, w, b, stride):
+    n, _, l = x.shape
+    kernel = w.shape[2]
+    out = np.zeros((n, w.shape[1], ConvTranspose1D.out_len(l, kernel, stride)))
+    for k in range(kernel):
+        contrib = np.einsum("ncl,co->nol", x, w[:, :, k], optimize=True)
+        out[:, :, k : k + l * stride : stride] += contrib
+    return out + b[None, :, None]
+
+
+def _ref_deconv_backward(x, w, dout, stride):
+    l = x.shape[2]
+    dx = np.zeros(x.shape)
+    dw = np.zeros(w.shape)
+    for k in range(w.shape[2]):
+        sl = dout[:, :, k : k + l * stride : stride]
+        dw[:, :, k] = np.einsum("ncl,nol->co", x, sl, optimize=True)
+        dx += np.einsum("nol,co->ncl", sl, w[:, :, k], optimize=True)
+    return dx, dw, dout.sum(axis=(0, 2))
+
+
+_REFERENCE = {
+    Conv1D: (_ref_conv_forward, _ref_conv_backward),
+    ConvTranspose1D: (_ref_deconv_forward, _ref_deconv_backward),
+}
+
+
+def _assert_close(got, want):
+    """rtol 1e-12, with entries near zero judged against the array's scale."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _channel_major(a, extra):
+    """``a`` (n, c, l) as a view of a (c, n * (l + extra)) buffer with zero tails."""
+    n, c, l = a.shape
+    buf = np.zeros((c, n * (l + extra)))
+    view = buf.reshape(c, n, l + extra)[:, :, :l].transpose(1, 0, 2)
+    view[...] = a
+    return view
+
+
+def _check_against_reference(layer, x, dout):
+    forward, backward = _REFERENCE[type(layer)]
+    x_ref, dout_ref = np.array(x), np.array(dout)
+    _assert_close(layer.forward(x), forward(x_ref, layer.w, layer.b, layer.stride))
+    dx = layer.backward(dout)
+    ref_dx, ref_dw, ref_db = backward(x_ref, layer.w, dout_ref, layer.stride)
+    _assert_close(dx, ref_dx)
+    _assert_close(layer.grad_params[0], ref_dw)
+    _assert_close(layer.grad_params[1], ref_db)
+
+
+@pytest.mark.parametrize("kind", [Conv1D, ConvTranspose1D])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_layers_match_reference_kernels(kind, stride):
+    for i in range(40):
+        rng = np.random.default_rng(5000 + 100 * stride + i)
+        c_in, c_out = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        kernel = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 6))
+        length = int(rng.integers(kernel, kernel + 12))
+        layer = kind(c_in, c_out, kernel, rng, stride=stride)
+        l_out = kind.out_len(length, kernel, stride)
+        x = rng.normal(size=(n, c_in, length))
+        dout = rng.normal(size=(n, c_out, l_out))
+        _check_against_reference(layer, x, dout)
+        extra = int(rng.integers(1, 9))
+        _check_against_reference(layer, _channel_major(x, extra),
+                                 _channel_major(dout, extra))
+
+
+def test_desk_ednn_matches_reference_kernels_layer_by_layer():
+    # a desk-width EDNN on a small batch: each conv layer's forward, dx,
+    # dw and db against the reference, fed what the layer before returned
+    model = build_ednn(256, (41, 20), "desk", seed=41)
+    rng = np.random.default_rng(42)
+    a = rng.normal(size=(6, 256))
+    inputs, checked = [], 0
+    for layer in model.layers:
+        inputs.append(np.array(a))
+        a = layer.forward(a, train=True, rng=rng)
+        if type(layer) in _REFERENCE:
+            # the signal stays channel-major from conv to conv
+            assert _buffer_of(a) is not None
+            forward, _ = _REFERENCE[type(layer)]
+            _assert_close(a, forward(inputs[-1], layer.w, layer.b, layer.stride))
+    d = rng.normal(size=a.shape)
+    for layer, x in zip(reversed(model.layers), reversed(inputs)):
+        d_in = np.array(d)
+        d = layer.backward(d)
+        if type(layer) in _REFERENCE:
+            assert _buffer_of(d) is not None
+            _, backward = _REFERENCE[type(layer)]
+            ref_dx, ref_dw, ref_db = backward(x, layer.w, d_in, layer.stride)
+            _assert_close(d, ref_dx)
+            _assert_close(layer.grad_params[0], ref_dw)
+            _assert_close(layer.grad_params[1], ref_db)
+            checked += 1
+    assert checked == 5
+
+
+def test_channel_major_views_are_used_in_place_only_with_zero_tails():
+    rng = np.random.default_rng(43)
+    x = _channel_major(rng.normal(size=(3, 4, 7)), 2)
+    buf, pitch = _buffer_of(x)
+    assert pitch == 9 and np.shares_memory(buf, x)
+    assert _buffer_of(np.array(x)) is None  # C order, 4 channels
+    buf.reshape(4, 3, 9)[1, 2, 8] = 1.0  # a nonzero tail is not a buffer
+    assert _buffer_of(x) is None
+    layer = Conv1D(4, 2, 3, rng)
+    _check_against_reference(layer, x, rng.normal(size=(3, 2, 5)))
+
+
+def test_dropout_masks_are_rng_draws_in_sample_channel_position_order():
+    rng = np.random.default_rng(44)
+    x = rng.normal(size=(3, 4, 5))
+    want = x * ((np.random.default_rng(7).random(x.shape) >= 0.3) / (1.0 - 0.3))
+    for given in (np.array(x), _channel_major(x, 3)):
+        layer = Dropout(0.3)
+        out = layer.forward(given, train=True, rng=np.random.default_rng(7))
+        assert np.array_equal(out, want)
+        d = layer.backward(np.array(x))
+        assert np.array_equal(d, want)
 
 
 def test_mse_loss_frozen_examples():
