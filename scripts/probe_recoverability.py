@@ -17,6 +17,7 @@ All bounds fit on one half of the corpus, score on the other half.
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from traceweights.device import (
     simulate_trace,
     total_macs,
 )
-from traceweights.mlp import TrainConfig, init_mlp, model_accuracy, train_mlp
+from traceweights.mlp import init_mlp, model_accuracy, train_mlp
 from traceweights.pipeline import make_fixed_input
 from traceweights.reduction import pca_fit, pca_transform
 from traceweights.seeding import derive_seed
@@ -136,13 +137,7 @@ def main():
         prev = 0
         for m in marks:
             if m > prev:
-                tc = TrainConfig(
-                    epochs=m - prev,
-                    batch_size=sur.batch_size,
-                    lr=lr,
-                    dropout=sur.dropout,
-                    seed=derive_seed(seed, "t", prev),
-                )
+                tc = replace(sur, epochs=m - prev, lr=lr, seed=derive_seed(seed, "t", prev))
                 train_mlp(model, piece.x, piece.y, tc)
                 prev = m
             coeffs, ops = _mac_streams(model, fixed.values)

@@ -8,6 +8,7 @@ test set, averaged over seeds.  No traces involved.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +47,7 @@ def main():
             big_x, big_y = pool.x[n_test:], pool.y[n_test:]
 
             tgt = init_mlp(pipe.topology, seed=derive_seed(seed, "tgt"))
-            tc = exp.target
-            train_mlp(
-                tgt, big_x, big_y,
-                TrainConfig(epochs=tc.epochs, batch_size=tc.batch_size, lr=tc.lr,
-                            dropout=tc.dropout, seed=derive_seed(seed, "tgt-t")),
-            )
+            train_mlp(tgt, big_x, big_y, replace(exp.target, seed=derive_seed(seed, "tgt-t")))
             t_acc.append(model_accuracy(tgt, test_x, test_y))
 
             from traceweights.datasets import Dataset

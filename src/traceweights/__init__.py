@@ -31,7 +31,6 @@ _EXPORTS = {
     "run_phase2": "pipeline",
     "run_phase3": "pipeline",
     "pca_fit": "reduction",
-    "pca_inverse": "reduction",
     "pca_transform": "reduction",
     "derive_seed": "seeding",
 }

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .mlp import MlpModel, validate_topology
-from .seeding import digest_of
 
 __all__ = [
     "WeightsMatrix",
@@ -23,7 +22,6 @@ __all__ = [
     "nonpad_mask",
     "coefficients_to_matrix",
     "matrix_to_coefficients",
-    "topology_digest",
 ]
 
 
@@ -111,7 +109,3 @@ def matrix_to_coefficients(matrix: WeightsMatrix, topology: Sequence[int]) -> Ml
         biases.append(block[:, fan_in])
         r += fan_out
     return MlpModel(topo, weights, biases)
-
-
-def topology_digest(topology: Sequence[int]) -> str:
-    return digest_of(list(validate_topology(topology)))

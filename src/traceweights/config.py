@@ -18,8 +18,8 @@ from pathlib import Path
 from .datasets import PRESETS, TaskSpec
 from .device import DeviceConfig
 from .ednn import EdnnTrainConfig
-from .experiment import ExperimentConfig, TargetTrainConfig
-from .pipeline import FinetuneConfig, PipelineConfig, SurrogateTrainConfig
+from .experiment import TARGET_DEFAULTS, ExperimentConfig
+from .pipeline import SURROGATE_DEFAULTS, FinetuneConfig, PipelineConfig
 from .seeding import digest_of
 
 __all__ = [
@@ -186,11 +186,11 @@ def _task_spec(entry: dict) -> TaskSpec:
 def _build(raw: dict) -> RunConfig:
     device = DeviceConfig(**raw.get("device", {}))
     p1 = dict(raw.get("phase1", {}))
-    sur = SurrogateTrainConfig(**p1.pop("surrogate", {}))
+    sur = replace(SURROGATE_DEFAULTS, **p1.pop("surrogate", {}))
     ednn = EdnnTrainConfig(**p1.pop("ednn", {}))
     ft = FinetuneConfig(**raw.get("finetune", {}))
     exp_raw = dict(raw.get("experiment", {}))
-    target = TargetTrainConfig(**exp_raw.pop("target", {}))
+    target = replace(TARGET_DEFAULTS, **exp_raw.pop("target", {}))
     if "modes" in exp_raw:
         exp_raw["modes"] = tuple(exp_raw["modes"])
     experiment = ExperimentConfig(target=target, **exp_raw)

@@ -17,8 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .seeding import derive_seed
-
 __all__ = [
     "TaskSpec",
     "Dataset",
@@ -309,8 +307,3 @@ def read_dataset(path) -> Dataset:
         scaling=meta.get("scaling", {}),
         imbalance=meta.get("imbalance"),
     )
-
-
-def task_seed(spec: TaskSpec, purpose: str, *extra) -> int:
-    """Stable per-purpose seed for a task, derived from the spec seed."""
-    return derive_seed(spec.seed, spec.name, purpose, *extra)

@@ -17,7 +17,7 @@ clamped and quantized by an ADC with 2**adc_bits uniform levels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -71,9 +71,6 @@ class DeviceConfig:
 
     def digest(self) -> str:
         return digest_of(asdict(self))
-
-    def with_seed(self, seed: int) -> "DeviceConfig":
-        return replace(self, rng_seed=int(seed))
 
 
 @dataclass

@@ -29,6 +29,7 @@ from .nn import (
     ReLU,
     ReshapeToMatrix,
     ReshapeToSignal,
+    mse_loss,
 )
 
 __all__ = [
@@ -85,12 +86,6 @@ class EdnnModel:
         for layer in reversed(self.layers):
             dout = layer.backward(dout)
         return dout
-
-    def params(self) -> list[np.ndarray]:
-        return [self.flat]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.flat_grad]
 
     def param_vector(self) -> np.ndarray:
         return self.flat.copy()
@@ -194,7 +189,7 @@ def train_ednn(
         raise ValueError("training pairs are empty or misaligned")
     rng = np.random.default_rng(cfg.seed)
     if opt is None:
-        opt = Adam(model.params(), lr=cfg.lr)
+        opt = Adam([model.flat], lr=cfg.lr)
     hist = EdnnHistory()
 
     for epoch in range(1, cfg.epochs + 1):
@@ -203,12 +198,11 @@ def train_ednn(
         for start in range(0, x_train.shape[0], cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             pred = model.forward(x_train[idx], train=True, rng=rng)
-            diff = pred - y_train[idx]
-            loss = float(np.sum(diff * diff) / len(idx))
+            loss, dpred = mse_loss(pred, y_train[idx])
             if not np.isfinite(loss):
                 raise EdnnDivergence(epoch)
-            model.backward((2.0 / len(idx)) * diff)
-            opt.step(model.params(), model.grads())
+            model.backward(dpred)
+            opt.step([model.flat], [model.flat_grad])
             epoch_loss += loss * len(idx)
         hist.train_loss.append(epoch_loss / x_train.shape[0])
         hist.epochs_run = epoch

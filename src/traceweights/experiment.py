@@ -17,7 +17,7 @@ reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -38,7 +38,7 @@ from .pipeline import (
 from .seeding import derive_seed
 
 __all__ = [
-    "TargetTrainConfig",
+    "TARGET_DEFAULTS",
     "ExperimentConfig",
     "evaluate_model",
     "run_experiment",
@@ -46,12 +46,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TargetTrainConfig:
-    epochs: int = 60
-    batch_size: int = 64
-    lr: float = 0.003
-    dropout: float = 0.3
+# the target role's defaults; a config's missing experiment.target keys take these
+TARGET_DEFAULTS = TrainConfig(epochs=60, batch_size=64, lr=0.003, dropout=0.3)
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class ExperimentConfig:
     modes: tuple[str, ...] = ("balanced", "imbalanced2x")
     eval_pool_size: int = 3000
     test_frac: float = 0.2
-    target: TargetTrainConfig = TargetTrainConfig()
+    target: TrainConfig = TARGET_DEFAULTS
 
     def __post_init__(self):
         if self.seeds < 1:
@@ -112,13 +108,7 @@ def _run_task(
             target,
             train_pool.x,
             train_pool.y,
-            TrainConfig(
-                epochs=exp.target.epochs,
-                batch_size=exp.target.batch_size,
-                lr=exp.target.lr,
-                dropout=exp.target.dropout,
-                seed=derive_seed(sm, "target-train"),
-            ),
+            replace(exp.target, seed=derive_seed(sm, "target-train")),
         )
         target_m = evaluate_model(target, test_set)
         matrix = run_phase2(target, phase1, cfg, seed=derive_seed(sm, "phase2-trace"))

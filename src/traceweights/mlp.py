@@ -19,7 +19,6 @@ from .nn import (
     sigmoid,
     softmax,
     cross_entropy_from_probs,
-    mse_loss,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "init_mlp",
     "mlp_forward",
     "mlp_backward",
-    "predict_probs",
     "predict_labels",
     "model_accuracy",
     "train_mlp",
@@ -127,31 +125,18 @@ def _forward(weights, biases, x, masks=None):
     return a, acts
 
 
-def _loss_and_grads(weights, biases, x, targets, loss, masks, grad_w, grad_b):
-    """Mean batch loss per model; writes the gradients into ``grad_w``/``grad_b``.
+def _loss_and_grads(weights, biases, x, labels, masks, grad_w, grad_b):
+    """Mean batch cross-entropy per model; writes the gradients into ``grad_w``/``grad_b``.
 
-    loss "xent": ``targets`` are integer labels, (..., n) like the batch.
-    loss "mse" (one model only): ``targets`` matches the output shape,
-    and the gradient is chained through the output nonlinearity.
+    ``labels`` are integers, (..., n) like the batch.
     """
     out, acts = _forward(weights, biases, x, masks)
     n = out.shape[-2]
-    if loss == "xent":
-        loss_val = cross_entropy_from_probs(out, targets)
-        if out.shape[-1] == 1:
-            dz = (out - targets[..., None]) / n
-        else:
-            dz = (out - (targets[..., None] == np.arange(out.shape[-1]))) / n
-    elif loss == "mse":
-        loss_val, dout = mse_loss(out, targets)
-        if out.shape[-1] == 1:
-            dz = dout * (out * (1.0 - out))
-        else:
-            # softmax jacobian row by row: p * (g - <g, p>)
-            inner = np.sum(dout * out, axis=-1, keepdims=True)
-            dz = out * (dout - inner)
+    loss_val = cross_entropy_from_probs(out, labels)
+    if out.shape[-1] == 1:
+        dz = (out - labels[..., None]) / n
     else:
-        raise ValueError(f"unknown loss {loss!r}")
+        dz = (out - (labels[..., None] == np.arange(out.shape[-1]))) / n
 
     for i in range(len(weights) - 1, -1, -1):
         np.matmul(acts[i].swapaxes(-1, -2), dz, out=grad_w[i])
@@ -198,41 +183,33 @@ def mlp_forward(model, x):
     return out[0] if np.ndim(x) == 1 else out
 
 
-def mlp_backward(model, x, targets, loss="xent"):
-    """Loss and parameter gradients for one batch, without dropout.
+def mlp_backward(model, x, labels):
+    """Cross-entropy and parameter gradients for one batch of integer labels, without dropout.
 
-    loss "xent": ``targets`` are integer labels.
-    loss "mse":  ``targets`` matches the output activation shape, and the
-    gradient is chained through the output nonlinearity.
     The gradients are views into one new vector laid out like ``model.flat``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if loss == "xent":
-        targets = np.asarray(targets, dtype=np.int64)
-    else:
-        targets = np.asarray(targets, dtype=np.float64).reshape(x.shape[0], model.topology[-1])
+    labels = np.asarray(labels, dtype=np.int64)
     grad_w, grad_b = _layer_views(np.zeros_like(model.flat), model.topology)
     loss_val = _loss_and_grads(
-        model.weights, model.biases, x, targets, loss, None, grad_w, grad_b
+        model.weights, model.biases, x, labels, None, grad_w, grad_b
     )
     return float(loss_val), grad_w, grad_b
 
 
-def predict_probs(model, x):
-    return mlp_forward(model, x)
-
-
 def predict_labels(model, x):
     """Hard labels: argmax rows, or threshold 0.5 for the sigmoid head."""
-    return _labels(predict_probs(model, np.atleast_2d(np.asarray(x, dtype=np.float64))))
+    return _labels(mlp_forward(model, np.atleast_2d(np.asarray(x, dtype=np.float64))))
 
 
 def model_accuracy(model, x, y):
     return float(np.mean(predict_labels(model, x) == np.asarray(y)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one MLP training run, whatever the model's role."""
+
     epochs: int
     batch_size: int = 16
     lr: float = 0.003
@@ -315,7 +292,7 @@ def train_mlp_stack(models, x, y, cfgs, val=None) -> list[TrainHistory]:
             if cfg.dropout > 0.0:
                 masks = _dropout_masks(rngs, cfg.dropout, hidden, idx.shape[-1], noise)
             loss_val = _loss_and_grads(
-                weights, biases, x[idx], y[idx], "xent", masks, grad_w, grad_b
+                weights, biases, x[idx], y[idx], masks, grad_w, grad_b
             )
             opt.step([flat], [grad])
             epoch_loss += loss_val * idx.shape[-1]

@@ -30,7 +30,6 @@ __all__ = [
     "softmax",
     "mse_loss",
     "cross_entropy_from_probs",
-    "dropout_apply",
     "Adam",
     "pack",
     "ParamLayer",
@@ -95,19 +94,6 @@ def cross_entropy_from_probs(probs, labels):
     else:
         p = probs[labels == np.arange(probs.shape[-1])].reshape(labels.shape[:-1])
     return -np.mean(np.log(np.clip(p, 1e-12, None)), axis=-1)
-
-
-def dropout_apply(x, rate, rng):
-    """Inverted dropout: zero with probability ``rate``, rescale the rest.
-
-    rate == 0 is an exact identity and consumes no randomness.
-    """
-    if rate == 0.0:
-        return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = rng.random(x.shape) >= rate
-    return x * mask / (1.0 - rate)
 
 
 # Elements per Adam block: the block's slices of p, g, m, v and the two
@@ -234,8 +220,8 @@ class Dense(ParamLayer):
         return x @ self.w + self.b
 
     def backward(self, dout):
-        self.grad_params[0][...] = self._x.T @ dout
-        self.grad_params[1][...] = dout.sum(axis=0)
+        np.matmul(self._x.T, dout, out=self.grad_params[0])
+        np.sum(dout, axis=0, out=self.grad_params[1])
         return dout @ self.w.T
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -30,7 +30,6 @@ from .codec import (
     matrix_shape,
     matrix_to_coefficients,
     nonpad_mask,
-    topology_digest,
 )
 from .datasets import Dataset, TaskSpec, chunk, gen_synthetic, stratified_split
 from .device import DeviceConfig, simulate_trace, write_trace_container
@@ -56,7 +55,7 @@ from .reduction import PcaModel, Standardizer, pca_fit, pca_transform, write_red
 from .seeding import derive_seed, digest_of
 
 __all__ = [
-    "SurrogateTrainConfig",
+    "SURROGATE_DEFAULTS",
     "FinetuneConfig",
     "PipelineConfig",
     "FixedInput",
@@ -65,7 +64,6 @@ __all__ = [
     "make_fixed_input",
     "prepare_pairs",
     "split_counts",
-    "chunks_for_pairs",
     "run_phase1",
     "run_phase2",
     "run_phase3",
@@ -77,12 +75,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurrogateTrainConfig:
-    epochs: int = 150
-    batch_size: int = 16
-    lr: float = 0.003
-    dropout: float = 0.3
+# the surrogate role's defaults; a config's missing phase1.surrogate keys take these
+SURROGATE_DEFAULTS = TrainConfig(epochs=150, batch_size=16, lr=0.003, dropout=0.3)
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,7 @@ class PipelineConfig:
     pca_k: int = 256
     theta: float = 0.85
     splits: tuple[float, float, float] = (0.75, 0.20, 0.05)
-    surrogate: SurrogateTrainConfig = field(default_factory=SurrogateTrainConfig)
+    surrogate: TrainConfig = SURROGATE_DEFAULTS
     ednn: EdnnTrainConfig = field(default_factory=EdnnTrainConfig)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
 
@@ -195,15 +189,7 @@ def prepare_pairs(
             init_seed = derive_seed(cfg.master_seed, "phase1", iteration, "sur-init", ci, rep)
             train_seed = derive_seed(cfg.master_seed, "phase1", iteration, "sur-train", ci, rep)
             surs.append(init_mlp(cfg.topology, init_seed))
-            train_cfgs.append(
-                TrainConfig(
-                    epochs=cfg.surrogate.epochs,
-                    batch_size=cfg.surrogate.batch_size,
-                    lr=cfg.surrogate.lr,
-                    dropout=cfg.surrogate.dropout,
-                    seed=train_seed,
-                )
-            )
+            train_cfgs.append(replace(cfg.surrogate, seed=train_seed))
         hists = train_mlp_stack(surs, chunk_ds.x, chunk_ds.y, train_cfgs)
         for sur, hist in zip(surs, hists):
             trace = simulate_trace(
@@ -236,14 +222,6 @@ def split_counts(n: int, splits: tuple[float, float, float]) -> tuple[int, int, 
     if min(n_train, n_test, n_val) < 1:
         raise ValueError(f"{n} pairs cannot honor splits {splits}")
     return n_train, n_test, n_val
-
-
-def chunks_for_pairs(total_pairs: int, reps: int) -> tuple[int, bool]:
-    """Chunk count needed for a pair budget, and whether it divides evenly."""
-    if total_pairs < 1 or reps < 1:
-        raise ValueError("need positive pair and rep counts")
-    count = math.ceil(total_pairs / reps)
-    return count, total_pairs % reps == 0
 
 
 @dataclass
@@ -305,13 +283,7 @@ def run_phase1(
             ednn,
             x_all[split_idx["train"]],
             pairs.matrices[split_idx["train"]],
-            EdnnTrainConfig(
-                epochs=cfg.ednn.epochs,
-                batch_size=cfg.ednn.batch_size,
-                lr=cfg.ednn.lr,
-                tau=cfg.ednn.tau,
-                seed=derive_seed(cfg.master_seed, "ednn-train", k),
-            ),
+            replace(cfg.ednn, seed=derive_seed(cfg.master_seed, "ednn-train", k)),
             theta=cfg.theta,
             val=(x_all[split_idx["val"]], pairs.matrices[split_idx["val"]]),
             mask=mask,

@@ -25,7 +25,6 @@ __all__ = [
     "Standardizer",
     "pca_fit",
     "pca_transform",
-    "pca_inverse",
     "write_reduction",
     "read_reduction",
 ]
@@ -111,11 +110,6 @@ def pca_transform(model: PcaModel, x) -> np.ndarray:
     return (x - model.mean) @ model.components.T
 
 
-def pca_inverse(model: PcaModel, y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    return y @ model.components + model.mean
-
-
 @dataclass
 class Standardizer:
     """Per-dimension shift to zero mean and unit population std."""
@@ -132,9 +126,6 @@ class Standardizer:
 
     def apply(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
-
-    def invert(self, y) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64) * self.std + self.mean
 
 
 def write_reduction(

@@ -11,7 +11,6 @@ from traceweights.codec import (
     matrix_shape,
     matrix_to_coefficients,
     nonpad_mask,
-    topology_digest,
 )
 from traceweights.device import total_macs
 from traceweights.mlp import MlpModel, init_mlp
@@ -143,8 +142,3 @@ def test_matrix_header_and_topology_validation():
     m = coefficients_to_matrix(init_mlp([3, 2], seed=0))
     with pytest.raises(ValueError):
         matrix_to_coefficients(m, [3, 2, 1])
-
-
-def test_topology_digest_stable_and_distinct():
-    assert topology_digest([2, 3, 1]) == topology_digest((2, 3, 1))
-    assert topology_digest([2, 3, 1]) != topology_digest([2, 3, 2])

@@ -11,6 +11,7 @@ from traceweights.config import (
     shipped_config_path,
     validate_config_dict,
 )
+from traceweights.mlp import TrainConfig
 
 MINIMAL = {
     "scale": "desk",
@@ -157,3 +158,29 @@ def test_semantic_errors_surface_as_validation_errors(tmp_path):
     bad2["phase1"] = {"theta": -0.5}
     with pytest.raises(ValidationError):
         load_run_config(_write(tmp_path, bad2, "b.json"))
+
+
+# Each role's settings when a config leaves them out, written out by hand so a
+# moved default shows here.
+SURROGATE_FALLBACK = {"epochs": 150, "batch_size": 16, "lr": 0.003, "dropout": 0.3}
+TARGET_FALLBACK = {"epochs": 60, "batch_size": 64, "lr": 0.003, "dropout": 0.3}
+
+
+def test_role_train_configs_keep_their_defaults(tmp_path):
+    partial = dict(MINIMAL, phase1={"surrogate": {"epochs": 5}}, experiment={"target": {}})
+    bare = dict(MINIMAL, phase1={"chunks": 1}, experiment={"seeds": 2})
+    paths = [
+        shipped_config_path("desk"),
+        shipped_config_path("paper"),
+        _write(tmp_path, MINIMAL, "minimal.json"),
+        _write(tmp_path, bare, "bare.json"),
+        _write(tmp_path, partial, "partial.json"),
+    ]
+    for path in paths:
+        raw = json.loads(path.read_text())
+        sur = {**SURROGATE_FALLBACK, **raw.get("phase1", {}).get("surrogate", {})}
+        tgt = {**TARGET_FALLBACK, **raw.get("experiment", {}).get("target", {})}
+        cfg = load_run_config(path)
+        for pipe in cfg.pipelines:
+            assert pipe.surrogate == TrainConfig(**sur), path.name
+        assert cfg.experiment.target == TrainConfig(**tgt), path.name

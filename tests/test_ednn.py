@@ -189,7 +189,7 @@ def test_full_batch_eq2_loss_non_increasing_at_small_lr():
     x = rng.normal(size=(50, 16))
     y = rng.normal(size=(50, 2, 2)) * 0.3
     model = build_ednn(16, (2, 2), "desk", seed=18)
-    opt = Adam(model.params(), lr=1e-4)
+    opt = Adam([model.flat], lr=1e-4)
 
     def eq2_loss():
         diff = predict_weights(model, x) - y
@@ -261,7 +261,7 @@ def test_warm_optimizer_continues_across_calls():
     x = rng.normal(size=(10, 16))
     y = np.full((10, 2, 2), 0.1)
     model = build_ednn(16, (2, 2), "desk", seed=26)
-    opt = Adam(model.params(), lr=0.001)
+    opt = Adam([model.flat], lr=0.001)
     train_ednn(model, x, y, EdnnTrainConfig(epochs=2, batch_size=5, seed=27),
                theta=2.0, opt=opt)
     t_after_first = opt.t
@@ -277,7 +277,6 @@ def _parametric(model):
 def _assert_packed(model):
     layers = _parametric(model)
     assert layers
-    assert model.params()[0] is model.flat and model.grads()[0] is model.flat_grad
     for layer in layers:
         assert layer.params[0] is layer.w and layer.params[1] is layer.b
         assert all(np.shares_memory(p, model.flat) for p in layer.params)

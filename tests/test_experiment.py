@@ -10,13 +10,12 @@ from traceweights.device import DeviceConfig
 from traceweights.ednn import EdnnTrainConfig
 from traceweights.experiment import (
     ExperimentConfig,
-    TargetTrainConfig,
     evaluate_model,
     run_experiment,
     write_report,
 )
-from traceweights.mlp import MlpModel, init_mlp
-from traceweights.pipeline import FinetuneConfig, PipelineConfig, SurrogateTrainConfig
+from traceweights.mlp import MlpModel, TrainConfig, init_mlp
+from traceweights.pipeline import FinetuneConfig, PipelineConfig
 
 TASK = TaskSpec(
     name="pico", n_features=3, n_classes=2,
@@ -42,7 +41,7 @@ def tiny_pipeline():
         pool_size=60,
         pca_k=16,
         theta=0.0,
-        surrogate=SurrogateTrainConfig(epochs=4, batch_size=8, lr=0.01, dropout=0.0),
+        surrogate=TrainConfig(epochs=4, batch_size=8, lr=0.01, dropout=0.0),
         ednn=EdnnTrainConfig(epochs=2, batch_size=9, lr=0.001, tau=0.05, seed=0),
         finetune=FinetuneConfig(epochs_max=12, batch_size=8, lr=0.01),
     )
@@ -54,7 +53,7 @@ def tiny_experiment(seeds=2):
         modes=("balanced", "imbalanced2x"),
         eval_pool_size=200,
         test_frac=0.2,
-        target=TargetTrainConfig(epochs=15, batch_size=16, lr=0.01, dropout=0.0),
+        target=TrainConfig(epochs=15, batch_size=16, lr=0.01, dropout=0.0),
     )
 
 

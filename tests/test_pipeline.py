@@ -17,8 +17,6 @@ from traceweights.mlp import TrainConfig, init_mlp, model_accuracy, train_mlp
 from traceweights.pipeline import (
     FinetuneConfig,
     PipelineConfig,
-    SurrogateTrainConfig,
-    chunks_for_pairs,
     load_phase1,
     make_fixed_input,
     persist_phase1,
@@ -56,7 +54,7 @@ def tiny_config(**over):
         pool_size=60,
         pca_k=16,
         theta=0.0,
-        surrogate=SurrogateTrainConfig(epochs=5, batch_size=8, lr=0.01, dropout=0.0),
+        surrogate=TrainConfig(epochs=5, batch_size=8, lr=0.01, dropout=0.0),
         ednn=EdnnTrainConfig(epochs=3, batch_size=9, lr=0.001, tau=0.05, seed=0),
         finetune=FinetuneConfig(epochs_max=25, batch_size=8, lr=0.01),
     )
@@ -84,14 +82,6 @@ def test_split_counts_frozen_and_floors():
     assert split_counts(18, (0.75, 0.20, 0.05)) == (13, 3, 2)
     with pytest.raises(ValueError):
         split_counts(4, (0.75, 0.20, 0.05))  # test split floors to zero
-
-
-def test_chunks_for_pairs_arithmetic():
-    assert chunks_for_pairs(2000, 30) == (67, False)
-    assert chunks_for_pairs(2800, 30) == (94, False)
-    assert chunks_for_pairs(600, 300) == (2, True)
-    with pytest.raises(ValueError):
-        chunks_for_pairs(0, 30)
 
 
 def test_fixed_input_deterministic_unit_range():
@@ -153,7 +143,7 @@ def test_prepare_pairs_is_deterministic():
 def test_prepare_pairs_matches_training_one_surrogate_at_a_time():
     from traceweights.datasets import chunk
 
-    sur_cfg = SurrogateTrainConfig(epochs=4, batch_size=8, lr=0.01, dropout=0.3)
+    sur_cfg = TrainConfig(epochs=4, batch_size=8, lr=0.01, dropout=0.3)
     cfg = tiny_config(reps=3, surrogate=sur_cfg)
     pairs, fixed = _pairs(cfg)
     chunks = chunk(gen_synthetic(cfg.task, cfg.pool_size, seed=3), 2)
