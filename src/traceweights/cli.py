@@ -114,21 +114,13 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_prepare_pairs(args) -> int:
-    from .datasets import chunk, gen_synthetic
-    from .pipeline import make_fixed_input, prepare_pairs, write_fixed_input, write_pairs
-    from .seeding import derive_seed
+    from .pipeline import attacker_data, prepare_pairs, write_fixed_input, write_pairs
 
     run_cfg = _load_config(args)
     pipe = _pick_pipeline(run_cfg, args.task)
     out = Path(args.out)
     k = min(max(args.iteration, 1), pipe.chunks)
-    pool = gen_synthetic(
-        pipe.task,
-        pipe.pool_size,
-        seed=derive_seed(pipe.master_seed, "chunk-pool", pipe.task.name),
-    )
-    chunks = chunk(pool, pipe.chunks)
-    fixed = make_fixed_input(pipe.topology[0], pipe.master_seed)
+    chunks, fixed = attacker_data(pipe)
     pairs = prepare_pairs(
         chunks[:k], pipe, fixed, iteration=k, log=lambda s: _log("prepare-pairs", s)
     )

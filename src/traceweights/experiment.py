@@ -49,6 +49,18 @@ __all__ = [
 # the target role's defaults; a config's missing experiment.target keys take these
 TARGET_DEFAULTS = TrainConfig(epochs=60, batch_size=64, lr=0.003, dropout=0.3)
 
+# the per-seed metrics each mode aggregates, in summary.csv's column order
+_AGGREGATE_KEYS = (
+    "acc_small_only",
+    "f1_small_only",
+    "acc_init_only",
+    "f1_init_only",
+    "acc_p2w",
+    "f1_p2w",
+    "acc_target",
+    "f1_target",
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -177,16 +189,7 @@ def _run_task(
     modes_out = {}
     for mode, records in per_mode.items():
         agg = {}
-        for key in (
-            "acc_small_only",
-            "f1_small_only",
-            "acc_init_only",
-            "f1_init_only",
-            "acc_p2w",
-            "f1_p2w",
-            "acc_target",
-            "f1_target",
-        ):
+        for key in _AGGREGATE_KEYS:
             agg[key] = _mean_std([r[key] for r in records])
         agg["overfit_rate_small_only"] = float(
             np.mean([r["overfit_epoch_small_only"] is not None for r in records])
@@ -248,18 +251,8 @@ def write_report(out_dir, report: dict, curves: list[dict]) -> None:
             )
     (out / "curves.csv").write_text("\n".join(lines) + "\n")
 
-    agg_keys = [
-        "acc_small_only",
-        "f1_small_only",
-        "acc_init_only",
-        "f1_init_only",
-        "acc_p2w",
-        "f1_p2w",
-        "acc_target",
-        "f1_target",
-    ]
     header = ["task", "mode"]
-    for key in agg_keys:
+    for key in _AGGREGATE_KEYS:
         header += [f"{key}_mean", f"{key}_std"]
     header += ["overfit_rate_small_only", "overfit_rate_p2w"]
     lines = [",".join(header)]
@@ -267,7 +260,7 @@ def write_report(out_dir, report: dict, curves: list[dict]) -> None:
         for mode, mdata in tdata["modes"].items():
             agg = mdata["aggregate"]
             cells = [task, mode]
-            for key in agg_keys:
+            for key in _AGGREGATE_KEYS:
                 cells += [repr(agg[key]["mean"]), repr(agg[key]["std"])]
             cells += [repr(agg["overfit_rate_small_only"]), repr(agg["overfit_rate_p2w"])]
             lines.append(",".join(cells))

@@ -3,6 +3,8 @@
 Hidden layers use relu.  The output head is a single sigmoid unit for
 binary tasks and a softmax row for anything wider.  Training is Adam on
 cross-entropy with optional inverted dropout after each hidden layer.
+Forward and backward passes run through ``nn``'s Dense, ReLU and Dropout
+layers built over views of a model's (or a stack's) parameter vector.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import numpy as np
 
 from .nn import (
     Adam,
-    pack,
-    relu,
+    Dense,
+    Dropout,
+    ReLU,
     sigmoid,
     softmax,
     cross_entropy_from_probs,
@@ -52,8 +55,9 @@ class MlpModel:
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.flat, views = pack([a for wb in zip(self.weights, self.biases) for a in wb])
-        self.weights, self.biases = views[0::2], views[1::2]
+        arrays = [a for wb in zip(self.weights, self.biases) for a in wb]
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        self.weights, self.biases = _layer_views(self.flat, self.topology)
 
     def copy(self) -> "MlpModel":
         return MlpModel(self.topology, self.weights, self.biases)
@@ -102,71 +106,62 @@ def _layer_views(flat, topology):
     return weights, biases
 
 
-def _forward(weights, biases, x, masks=None):
-    """Returns (output, layer_inputs).
+def _network(flat, topology, grad=None, dropout=0.0):
+    """Dense layers over ``_layer_views`` of ``flat`` and ``grad``, ReLU and Dropout between.
 
-    Every op acts on the last two axes, so one model runs on an (n, d)
-    batch and a stack of S models on an (S, n, d) or shared (n, d) batch.
-    ``masks[i]`` scales hidden layer i's relu output (inverted dropout).
+    Without ``grad`` the layers run forward only; the head is ``_predict``'s.
     """
-    a = x
-    acts = [x]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(a, w)
-        z += b[..., None, :]
-        if i < last:
-            a = relu(z)
-            if masks is not None:
-                a *= masks[i]
-        else:
-            a = sigmoid(z) if w.shape[-1] == 1 else softmax(z)
-        acts.append(a)
-    return a, acts
+    weights, biases = _layer_views(flat, topology)
+    none = [None] * len(weights)
+    grad_w, grad_b = (none, none) if grad is None else _layer_views(grad, topology)
+    layers = []
+    for w, b, gw, gb in zip(weights, biases, grad_w, grad_b):
+        if layers:
+            layers += [ReLU(), Dropout(dropout)]
+        dense = Dense(w.shape[-2], w.shape[-1], None)
+        dense.adopt(w, b, gw, gb)
+        layers.append(dense)
+    return layers
 
 
-def _loss_and_grads(weights, biases, x, labels, masks, grad_w, grad_b):
-    """Mean batch cross-entropy per model; writes the gradients into ``grad_w``/``grad_b``.
+def _predict(layers, x, train=False, rng=None):
+    """Head probabilities: sigmoid for a single output unit, else softmax."""
+    for layer in layers:
+        x = layer.forward(x, train=train, rng=rng)
+    return sigmoid(x) if x.shape[-1] == 1 else softmax(x)
 
-    ``labels`` are integers, (..., n) like the batch.
+
+def _loss_and_grads(layers, x, labels, rng=None):
+    """Mean batch cross-entropy per model of integer ``labels``, (..., n) like the batch.
+
+    The layers write their gradients; an ``rng`` turns dropout on.
     """
-    out, acts = _forward(weights, biases, x, masks)
+    out = _predict(layers, x, train=rng is not None, rng=rng)
     n = out.shape[-2]
     loss_val = cross_entropy_from_probs(out, labels)
     if out.shape[-1] == 1:
         dz = (out - labels[..., None]) / n
     else:
         dz = (out - (labels[..., None] == np.arange(out.shape[-1]))) / n
-
-    for i in range(len(weights) - 1, -1, -1):
-        np.matmul(acts[i].swapaxes(-1, -2), dz, out=grad_w[i])
-        np.sum(dz, axis=-2, out=grad_b[i])
-        if i > 0:
-            da = np.matmul(dz, weights[i].swapaxes(-1, -2))
-            if masks is not None:
-                da *= masks[i - 1]
-            # acts[i] > 0 exactly where relu passed and dropout kept the
-            # unit; where dropout dropped it, da is already zero
-            dz = np.multiply(da, acts[i] > 0.0, out=da)
+    for layer in reversed(layers):
+        dz = layer.backward(dz)
     return loss_val
 
 
-def _dropout_masks(rngs, rate, hidden, n, noise):
-    """Inverted-dropout scales for each hidden layer of an n-row batch.
+class _PerModelRandom:
+    """The Dropout generator of a stack: each model's row comes from its own generator.
 
-    ``noise`` is a (..., >= n * sum(hidden)) scratch buffer with one row
-    per generator.  Each generator fills its row with the doubles it would
-    draw layer by layer for its model alone.
+    ``random(shape)`` fills row s of an (S, ...) draw as model s alone would draw it.
     """
-    drawn = noise[..., : n * sum(hidden)]
-    for row, rng in zip(drawn.reshape(len(rngs), -1), rngs):
-        rng.random(out=row)
-    keep = (drawn >= rate) / (1.0 - rate)
-    masks, at = [], 0
-    for width in hidden:
-        masks.append(keep[..., at : at + n * width].reshape(keep.shape[:-1] + (n, width)))
-        at += n * width
-    return masks
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+
+    def random(self, shape):
+        out = np.empty(shape)
+        for row, rng in zip(out.reshape(len(self.rngs), -1), self.rngs):
+            rng.random(out=row)
+        return out
 
 
 def _labels(probs):
@@ -179,7 +174,7 @@ def _labels(probs):
 def mlp_forward(model, x):
     """Probabilities for a (d,) vector or (n, d) batch."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = _forward(model.weights, model.biases, x2)[0]
+    out = _predict(_network(model.flat, model.topology), x2)
     return out[0] if np.ndim(x) == 1 else out
 
 
@@ -190,11 +185,9 @@ def mlp_backward(model, x, labels):
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
-    grad_w, grad_b = _layer_views(np.zeros_like(model.flat), model.topology)
-    loss_val = _loss_and_grads(
-        model.weights, model.biases, x, labels, None, grad_w, grad_b
-    )
-    return float(loss_val), grad_w, grad_b
+    grad = np.zeros_like(model.flat)
+    loss_val = _loss_and_grads(_network(model.flat, model.topology, grad), x, labels)
+    return float(loss_val), *_layer_views(grad, model.topology)
 
 
 def predict_labels(model, x):
@@ -270,12 +263,10 @@ def train_mlp_stack(models, x, y, cfgs, val=None) -> list[TrainHistory]:
         raise ValueError("validation-driven training takes one model at a time")
     flat = models[0].flat if len(models) == 1 else np.stack([m.flat for m in models])
     lead = flat.shape[:-1]
-    weights, biases = _layer_views(flat, topology)
     grad = np.zeros_like(flat)
-    grad_w, grad_b = _layer_views(grad, topology)
+    layers = _network(flat, topology, grad, cfg.dropout)
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    hidden = topology[1:-1]
-    noise = np.empty(lead + (cfg.batch_size * sum(hidden),))
+    draws = rngs[0] if len(rngs) == 1 else _PerModelRandom(rngs)
     opt = Adam([flat], lr=cfg.lr)
     hists = [TrainHistory() for _ in models]
     n = x.shape[0]
@@ -288,15 +279,10 @@ def train_mlp_stack(models, x, y, cfgs, val=None) -> list[TrainHistory]:
         epoch_loss = np.zeros(lead)
         for start in range(0, n, cfg.batch_size):
             idx = order[..., start : start + cfg.batch_size]
-            masks = None
-            if cfg.dropout > 0.0:
-                masks = _dropout_masks(rngs, cfg.dropout, hidden, idx.shape[-1], noise)
-            loss_val = _loss_and_grads(
-                weights, biases, x[idx], y[idx], masks, grad_w, grad_b
-            )
+            loss_val = _loss_and_grads(layers, x[idx], y[idx], draws)
             opt.step([flat], [grad])
             epoch_loss += loss_val * idx.shape[-1]
-        accs = np.mean(_labels(_forward(weights, biases, x)[0]) == y, axis=-1)
+        accs = np.mean(_labels(_predict(layers, x)) == y, axis=-1)
         for hist, loss_s, acc_s in zip(hists, np.atleast_1d(epoch_loss / n), np.atleast_1d(accs)):
             hist.train_loss.append(float(loss_s))
             hist.train_acc.append(float(acc_s))

@@ -1,9 +1,12 @@
-"""Minimal neural-network engine on numpy.
+"""Minimal neural-network engine on numpy: the one set of layers every model runs on.
 
 Float64 throughout.  Layers cache what their backward pass needs, so the
 usage pattern is forward -> backward -> read ``grad_params``.  There is no
 autodiff: each layer kind carries a hand-written backward, checked against
-central finite differences in the test suite.
+central finite differences in the test suite.  The EDNN is built from
+these layers, and so is every MLP (see ``mlp.py``): ``Dense`` works on the
+last two axes, so one layer whose weight has a leading stack axis trains
+S same-topology models in step on an (S, n, f) batch.
 
 Signal layout.  Conv1D and ConvTranspose1D take and return (n, c, l)
 arrays but run the whole batch as one channel-major signal: a
@@ -31,7 +34,6 @@ __all__ = [
     "mse_loss",
     "cross_entropy_from_probs",
     "Adam",
-    "pack",
     "ParamLayer",
     "Dense",
     "Conv1D",
@@ -153,23 +155,6 @@ class Adam:
                 pb -= b
 
 
-def pack(arrays):
-    """Copy ``arrays`` into one new contiguous float64 vector.
-
-    Returns ``(flat, views)``: ``views[i]`` has the shape of ``arrays[i]``
-    and is the C-order slice of ``flat`` that follows ``views[i - 1]``, so
-    writing to a view writes to ``flat`` and the reverse.
-    """
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    views = []
-    at = 0
-    for a in arrays:
-        views.append(flat[at : at + a.size].reshape(a.shape))
-        at += a.size
-    return flat, views
-
-
 def _uniform_fan_in(rng, fan_in, out):
     """Fill ``out`` in place with the doubles ``rng.uniform(-bound, bound)`` gives.
 
@@ -186,7 +171,8 @@ class ParamLayer:
 
     A layer built with an ``rng`` owns fresh arrays and is initialized at
     once.  One built with ``rng=None`` has no parameters until ``bind``
-    gives it storage, which lets a model keep every layer in one vector.
+    gives it storage, or ``adopt`` hands it existing arrays, which lets a
+    model keep every layer in one vector.
     """
 
     def _setup(self, fan_in, w_shape, b_shape, rng):
@@ -196,20 +182,30 @@ class ParamLayer:
         if rng is not None:
             self.bind(np.empty(self.size), np.zeros(self.size), rng)
 
+    def adopt(self, w, b, grad_w, grad_b):
+        """Use the given arrays, views as a rule, as the parameters and their grads."""
+        self.w, self.b = self.params = [w, b]
+        self.grad_params = [grad_w, grad_b]
+
     def bind(self, flat, flat_grad, rng):
         """Point ``w``/``b`` and their grads at ``flat``/``flat_grad``, then draw the init.
 
         Each slice holds ``size`` elements: the weight, then the bias, C order.
         """
         n = math.prod(self.w_shape)
-        self.w, self.b = self.params = [flat[:n].reshape(self.w_shape), flat[n:]]
-        self.grad_params = [flat_grad[:n].reshape(self.w_shape), flat_grad[n:]]
+        self.adopt(flat[:n].reshape(self.w_shape), flat[n:],
+                   flat_grad[:n].reshape(self.w_shape), flat_grad[n:])
         for p in self.params:
             _uniform_fan_in(rng, self.fan_in, p)
 
 
 class Dense(ParamLayer):
-    """Affine layer: (n, fan_in) -> (n, fan_out)."""
+    """Affine layer on the last two axes: (..., n, fan_in) -> (..., n, fan_out).
+
+    Adopted (S, fan_in, fan_out) weights and (S, fan_out) biases make it S
+    layers at once, one per leading index; the input is then an (S, n,
+    fan_in) batch, or an (n, fan_in) one that every layer of the stack reads.
+    """
 
     def __init__(self, fan_in, fan_out, rng):
         self._setup(fan_in, (fan_in, fan_out), (fan_out,), rng)
@@ -217,12 +213,14 @@ class Dense(ParamLayer):
 
     def forward(self, x, train=False, rng=None):
         self._x = x
-        return x @ self.w + self.b
+        z = np.matmul(x, self.w)
+        z += self.b[..., None, :]
+        return z
 
     def backward(self, dout):
-        np.matmul(self._x.T, dout, out=self.grad_params[0])
-        np.sum(dout, axis=0, out=self.grad_params[1])
-        return dout @ self.w.T
+        np.matmul(self._x.swapaxes(-1, -2), dout, out=self.grad_params[0])
+        np.add.reduce(dout, axis=-2, out=self.grad_params[1])  # np.sum minus its wrapper
+        return np.matmul(dout, self.w.swapaxes(-1, -2))
 
 
 def _buffer_of(x):

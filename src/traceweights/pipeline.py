@@ -62,6 +62,7 @@ __all__ = [
     "TracePairs",
     "Phase1Result",
     "make_fixed_input",
+    "attacker_data",
     "prepare_pairs",
     "split_counts",
     "run_phase1",
@@ -139,6 +140,14 @@ def make_fixed_input(n_features: int, master_seed: int) -> FixedInput:
     rng = np.random.default_rng(derive_seed(master_seed, "fixed-input"))
     values = rng.random(n_features)
     return FixedInput(values=values, digest=digest_of(values.tolist()))
+
+
+def attacker_data(cfg: PipelineConfig) -> tuple[list[Dataset], FixedInput]:
+    """The attacker's pool cut into ``cfg.chunks`` chunks, and the fixed trace input."""
+    pool = gen_synthetic(
+        cfg.task, cfg.pool_size, seed=derive_seed(cfg.master_seed, "chunk-pool", cfg.task.name)
+    )
+    return chunk(pool, cfg.chunks), make_fixed_input(cfg.topology[0], cfg.master_seed)
 
 
 @dataclass
@@ -246,11 +255,7 @@ def run_phase1(
     Returns with reached_theta=False (not an error) when every chunk is
     used and validation accuracy still falls short.
     """
-    pool = gen_synthetic(
-        cfg.task, cfg.pool_size, seed=derive_seed(cfg.master_seed, "chunk-pool", cfg.task.name)
-    )
-    chunks = chunk(pool, cfg.chunks)
-    fixed = make_fixed_input(cfg.topology[0], cfg.master_seed)
+    chunks, fixed = attacker_data(cfg)
     rows, cols = matrix_shape(cfg.topology)
     mask = nonpad_mask(cfg.topology)
 

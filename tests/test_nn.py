@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from traceweights.codec import coefficients_to_matrix, matrix_to_coefficients
 from traceweights.ednn import build_ednn
 from traceweights.mlp import (
+    _network,
     MlpModel,
     TrainConfig,
     init_mlp,
@@ -195,7 +196,7 @@ def _check_mlp_grads(model, x, y):
             assert worst < FD_REL, f"layer {i} grad off by {worst}"
 
 
-def test_mlp_backward_matches_fd_sigmoid_softmax_and_mse_heads():
+def test_mlp_backward_matches_fd_sigmoid_and_softmax_heads():
     configs = [((3, 4, 1), 2), ((3, 4, 3), 3)]
     done = 0
     for topo, n_classes in configs:
@@ -737,6 +738,130 @@ def test_stack_trains_bit_identical_to_one_model_at_a_time(stack, topo, dropout)
         assert ha.train_acc == hb.train_acc
         assert hb.stopped_epoch == 3
     assert not np.array_equal(alone[0].flat, init_mlp(topo, seed=20).flat)
+
+
+# ------------------------------------------------ reference MLP trainer
+# mlp.py's trainer from before it ran on nn's layers, with its own batched
+# forward, backward and dropout masks; train_mlp_stack must match it bit
+# for bit.
+
+
+def _ref_layer_views(flat, topology):
+    lead = flat.shape[:-1]
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(topology[:-1], topology[1:]):
+        weights.append(flat[..., at : at + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
+        at += fan_in * fan_out
+        biases.append(flat[..., at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+def _ref_forward(weights, biases, x, masks=None):
+    a = x
+    acts = [x]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(a, w)
+        z += b[..., None, :]
+        if i < last:
+            a = relu(z)
+            if masks is not None:
+                a *= masks[i]
+        else:
+            a = sigmoid(z) if w.shape[-1] == 1 else softmax(z)
+        acts.append(a)
+    return a, acts
+
+
+def _ref_loss_and_grads(weights, biases, x, labels, masks, grad_w, grad_b):
+    out, acts = _ref_forward(weights, biases, x, masks)
+    n = out.shape[-2]
+    loss_val = cross_entropy_from_probs(out, labels)
+    if out.shape[-1] == 1:
+        dz = (out - labels[..., None]) / n
+    else:
+        dz = (out - (labels[..., None] == np.arange(out.shape[-1]))) / n
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[i].swapaxes(-1, -2), dz, out=grad_w[i])
+        np.sum(dz, axis=-2, out=grad_b[i])
+        if i > 0:
+            da = np.matmul(dz, weights[i].swapaxes(-1, -2))
+            if masks is not None:
+                da *= masks[i - 1]
+            dz = np.multiply(da, acts[i] > 0.0, out=da)
+    return loss_val
+
+
+def _ref_dropout_masks(rngs, rate, hidden, n, noise):
+    drawn = noise[..., : n * sum(hidden)]
+    for row, rng in zip(drawn.reshape(len(rngs), -1), rngs):
+        rng.random(out=row)
+    keep = (drawn >= rate) / (1.0 - rate)
+    masks, at = [], 0
+    for width in hidden:
+        masks.append(keep[..., at : at + n * width].reshape(keep.shape[:-1] + (n, width)))
+        at += n * width
+    return masks
+
+
+def _ref_train_stack(models, x, y, cfgs):
+    """(flat, train_loss, train_acc) per model, the models left untouched."""
+    cfg = cfgs[0]
+    topology = models[0].topology
+    flat = models[0].flat.copy() if len(models) == 1 else np.stack([m.flat for m in models])
+    lead = flat.shape[:-1]
+    weights, biases = _ref_layer_views(flat, topology)
+    grad = np.zeros_like(flat)
+    grad_w, grad_b = _ref_layer_views(grad, topology)
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    hidden = topology[1:-1]
+    noise = np.empty(lead + (cfg.batch_size * sum(hidden),))
+    opt = Adam([flat], lr=cfg.lr)
+    n = x.shape[0]
+    losses, accs = [], []
+    for _ in range(cfg.epochs):
+        order = np.reshape([rng.permutation(n) for rng in rngs], lead + (n,))
+        epoch_loss = np.zeros(lead)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[..., start : start + cfg.batch_size]
+            masks = None
+            if cfg.dropout > 0.0:
+                masks = _ref_dropout_masks(rngs, cfg.dropout, hidden, idx.shape[-1], noise)
+            loss_val = _ref_loss_and_grads(weights, biases, x[idx], y[idx], masks, grad_w, grad_b)
+            opt.step([flat], [grad])
+            epoch_loss += loss_val * idx.shape[-1]
+        probs = _ref_forward(weights, biases, x)[0]
+        labels = (probs[..., 0] >= 0.5) if probs.shape[-1] == 1 else np.argmax(probs, axis=-1)
+        losses.append(np.atleast_1d(epoch_loss / n))
+        accs.append(np.atleast_1d(np.mean(labels == y, axis=-1)))
+    return np.reshape(flat, (len(models), -1)), np.transpose(losses), np.transpose(accs)
+
+
+@pytest.mark.parametrize("stack", [1, 3])
+@pytest.mark.parametrize("topo", [(4, 6, 5, 1), (4, 6, 3)])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_stack_training_matches_reference_trainer_bit_for_bit(stack, topo, dropout):
+    rng = np.random.default_rng(12)
+    n = 37  # batches of 12, 12, 12 and a last one of a single row
+    x = rng.normal(size=(n, topo[0]))
+    y = rng.integers(0, 2 if topo[-1] == 1 else topo[-1], size=n)
+    cfgs = [
+        TrainConfig(epochs=3, batch_size=12, lr=0.01, dropout=dropout, seed=60 + s)
+        for s in range(stack)
+    ]
+    models = [init_mlp(topo, seed=70 + s) for s in range(stack)]
+    ref_flat, ref_loss, ref_acc = _ref_train_stack(models, x, y, cfgs)
+    hists = train_mlp_stack(models, x, y, cfgs)
+    for model, hist, flat, loss, acc in zip(models, hists, ref_flat, ref_loss, ref_acc):
+        assert np.array_equal(model.flat, flat)
+        assert np.array_equal(hist.train_loss, loss)
+        assert np.array_equal(hist.train_acc, acc)
+    # relu and a dropout scale >= 0 commute, so the numbers above cannot
+    # tell the hidden layers' order apart; pin it here
+    kinds = [type(layer).__name__ for layer in _network(models[0].flat, topo)]
+    assert kinds == ["Dense"] + ["ReLU", "Dropout", "Dense"] * (len(topo) - 2)
 
 
 def test_train_mlp_stack_rejects_mixed_configs_topologies_and_val():
