@@ -10,9 +10,10 @@ Each pass feeds every layer what the layer before it returned, as
 ``EdnnModel.forward``/``backward`` do, and times each parametric layer's
 forward and backward alone.  The ReLU, Dropout and reshape layers are
 timed together as ``elementwise``.  BLAS is pinned to one thread before
-NumPy loads.  The JSON holds the median seconds per layer and the
-GFLOP/s those medians give, counting a multiply-add as 2 FLOPs and a
-backward as twice its forward.
+NumPy loads.  The JSON holds the median seconds per layer, beside them
+the first and third quartiles (``*_quartiles_s``) so a reader can see
+how far the repeats spread, and the GFLOP/s the medians give, counting
+a multiply-add as 2 FLOPs and a backward as twice its forward.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import platform
 import sys
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 from time import perf_counter
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -69,6 +70,17 @@ def cpu_model():
     return platform.processor() or platform.machine()
 
 
+def quartiles(values):
+    """First and third quartile of the repeats."""
+    q1, _, q3 = quantiles(values, n=4)
+    return [q1, q3]
+
+
+def ms(mid, quarts):
+    """A median and its quartiles, in milliseconds."""
+    return f"{mid * 1e3:8.2f} [{quarts[0] * 1e3:.2f}-{quarts[1] * 1e3:.2f}]"
+
+
 def one_pass(model, x, y, rng, times):
     """One training forward+backward; appends each layer's seconds to ``times``."""
     parametric = iter(LABELS)
@@ -97,6 +109,8 @@ def main():
     ap.add_argument("--warmup", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.repeats < 2:
+        ap.error("--repeats must be at least 2 to give quartiles")
 
     data = np.random.default_rng(args.seed)
     model = build_ednn(INPUT_LEN, OUTPUT_SHAPE, "desk", seed=args.seed)
@@ -124,12 +138,15 @@ def main():
             "input_shape": list(shapes[label]),
             "fwd_s": fwd,
             "bwd_s": bwd,
+            "fwd_quartiles_s": quartiles(times[label]["fwd"][keep]),
+            "bwd_quartiles_s": quartiles(times[label]["bwd"][keep]),
             "fwd_gflops_per_s": flops / fwd / 1e9,
             "bwd_gflops_per_s": 2 * flops / bwd / 1e9,
             "flops_fwd": flops,
         }
     report = {
-        "what": "desk EDNN per-layer training forward/backward, median seconds per batch",
+        "what": "desk EDNN per-layer training forward/backward, seconds per batch: "
+                "median and first/third quartiles over the repeats",
         "batch": args.batch,
         "input_len": INPUT_LEN,
         "output_shape": list(OUTPUT_SHAPE),
@@ -144,15 +161,22 @@ def main():
         "layers": layers,
         "elementwise_fwd_s": median(times["elementwise"]["fwd"][keep]),
         "elementwise_bwd_s": median(times["elementwise"]["bwd"][keep]),
+        "elementwise_fwd_quartiles_s": quartiles(times["elementwise"]["fwd"][keep]),
+        "elementwise_bwd_quartiles_s": quartiles(times["elementwise"]["bwd"][keep]),
         "pass_s": median(totals[keep]),
+        "pass_quartiles_s": quartiles(totals[keep]),
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print("median ms [first-third quartile ms]")
     for label, row in layers.items():
-        print(f"{label:10s} fwd {row['fwd_s'] * 1e3:8.2f} ms {row['fwd_gflops_per_s']:6.1f} GF/s"
-              f"   bwd {row['bwd_s'] * 1e3:8.2f} ms {row['bwd_gflops_per_s']:6.1f} GF/s")
-    print(f"elementwise fwd {report['elementwise_fwd_s'] * 1e3:.2f} ms"
-          f"  bwd {report['elementwise_bwd_s'] * 1e3:.2f} ms")
-    print(f"pass {report['pass_s'] * 1e3:.1f} ms  -> {args.out}")
+        print(f"{label:10s} fwd {ms(row['fwd_s'], row['fwd_quartiles_s'])}"
+              f" {row['fwd_gflops_per_s']:6.1f} GF/s"
+              f"   bwd {ms(row['bwd_s'], row['bwd_quartiles_s'])}"
+              f" {row['bwd_gflops_per_s']:6.1f} GF/s")
+    ew = {d: ms(report[f"elementwise_{d}_s"], report[f"elementwise_{d}_quartiles_s"])
+          for d in ("fwd", "bwd")}
+    print(f"elementwise fwd {ew['fwd']}   bwd {ew['bwd']}")
+    print(f"pass {ms(report['pass_s'], report['pass_quartiles_s'])}  -> {args.out}")
 
 
 if __name__ == "__main__":

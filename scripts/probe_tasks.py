@@ -16,8 +16,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from traceweights.config import load_run_config, shipped_config_path
-from traceweights.datasets import gen_synthetic, sample_dsmall, stratified_split
-from traceweights.mlp import TrainConfig, init_mlp, model_accuracy, train_mlp
+from traceweights.datasets import Dataset, gen_synthetic, sample_dsmall, stratified_split
+from traceweights.mlp import init_mlp, model_accuracy, train_mlp
 from traceweights.seeding import derive_seed
 
 
@@ -50,19 +50,13 @@ def main():
             train_mlp(tgt, big_x, big_y, replace(exp.target, seed=derive_seed(seed, "tgt-t")))
             t_acc.append(model_accuracy(tgt, test_x, test_y))
 
-            from traceweights.datasets import Dataset
             rest = Dataset(x=big_x, y=big_y, n_classes=task.n_classes, name=task.name)
             dsm = sample_dsmall(rest, task.dsmall_size, "balanced", derive_seed(seed, "dsm"))
             tr, va = stratified_split(dsm, pipe.finetune.val_frac, derive_seed(seed, "sp"))
             small = init_mlp(pipe.topology, seed=derive_seed(seed, "small"))
-            fc = pipe.finetune
             train_mlp(
                 small, tr.x, tr.y,
-                TrainConfig(epochs=fc.epochs_max, batch_size=fc.batch_size, lr=fc.lr,
-                            dropout=fc.dropout, seed=derive_seed(seed, "small-t"),
-                            early_stop_patience=fc.early_stop_patience,
-                            lr_halve_after=fc.lr_halve_after,
-                            restore_best=fc.restore_best),
+                pipe.finetune.train_config(derive_seed(seed, "small-t")),
                 val=(va.x, va.y),
             )
             s_acc.append(model_accuracy(small, test_x, test_y))

@@ -157,7 +157,7 @@ def _cmd_extract(args) -> int:
     run_cfg = _load_config(args)
     pipe = _pick_pipeline(run_cfg, args.task)
     out = Path(args.out)
-    phase1 = load_phase1(args.run)
+    phase1 = load_phase1(args.run, run_cfg.digest)
     if (args.model is None) == (args.trace is None):
         raise ValidationError("need exactly one of --model or --trace")
     if args.model is not None:

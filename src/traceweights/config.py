@@ -233,7 +233,11 @@ def shipped_config_path(scale: str) -> Path:
 
 
 def load_run_config(path, seed_override=None) -> RunConfig:
-    """Read, validate, and assemble a run config from a JSON file."""
+    """Read, validate, and assemble a run config from a JSON file.
+
+    A run directory's config.json carries the ``config_digest`` stamp it
+    was written with; the stamp must match the digest of the rest.
+    """
     p = Path(path)
     try:
         raw = json.loads(p.read_text())
@@ -241,7 +245,13 @@ def load_run_config(path, seed_override=None) -> RunConfig:
         raise ValidationError(f"config: file not found: {p}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"config: {p} is not valid JSON: {e}") from None
+    stamp = raw.pop("config_digest", None) if isinstance(raw, dict) else None
     validate_config_dict(raw)
+    if stamp is not None and stamp != digest_of(raw):
+        raise ValidationError(
+            f"config: {p} is stamped config_digest {stamp!r}, "
+            f"but its content has digest {digest_of(raw)!r}"
+        )
     if seed_override is not None:
         raw = dict(raw)
         raw["master_seed"] = int(seed_override)

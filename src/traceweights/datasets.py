@@ -93,6 +93,19 @@ def _near_equal_counts(n: int, parts: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
+def _min_max_scale(x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Min-max scale each column to [0, 1], a constant column to 0.
+
+    The values are rounded through float32 so disk and memory agree; the
+    dict holds each column's lo and hi.
+    """
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    x = np.where(hi > lo, (x - lo) / span, 0.0)
+    return x.astype(np.float32).astype(np.float64), {"lo": lo.tolist(), "hi": hi.tolist()}
+
+
 def gen_synthetic(spec: TaskSpec, n: int, seed: Optional[int] = None) -> Dataset:
     """Draw n samples of the mixture task; deterministic in (spec, n, seed)."""
     if n < 1:
@@ -110,20 +123,13 @@ def gen_synthetic(spec: TaskSpec, n: int, seed: Optional[int] = None) -> Dataset
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     order = rng.permutation(n)
-    x, y = x[order], y[order]
-
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    x = (x - lo) / span
-    # round-trip through the storage precision so disk and memory agree
-    x = x.astype(np.float32).astype(np.float64)
+    x, scaling = _min_max_scale(x[order])
     return Dataset(
         x=x,
-        y=y,
+        y=y[order],
         name=spec.name,
         n_classes=spec.n_classes,
-        scaling={"lo": lo.tolist(), "hi": hi.tolist()},
+        scaling=scaling,
     )
 
 
@@ -256,17 +262,13 @@ def load_csv(path, label_column: str) -> Dataset:
     if y.min() < 0:
         raise ValueError(f"{p}: labels must be nonnegative")
     n_classes = int(y.max()) + 1
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    x = np.where(hi > lo, (x - lo) / span, 0.0)
-    x = x.astype(np.float32).astype(np.float64)
+    x, scaling = _min_max_scale(x)
     return Dataset(
         x=x,
         y=y,
         name=p.stem,
         n_classes=max(n_classes, 2),
-        scaling={"lo": lo.tolist(), "hi": hi.tolist(), "columns": feat_names},
+        scaling=scaling | {"columns": feat_names},
     )
 
 

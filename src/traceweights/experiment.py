@@ -49,17 +49,13 @@ __all__ = [
 # the target role's defaults; a config's missing experiment.target keys take these
 TARGET_DEFAULTS = TrainConfig(epochs=60, batch_size=64, lr=0.003, dropout=0.3)
 
+# the four variants each seed compares, in summary.csv's column order, and whether
+# each is fine-tuned on d_small (then it also records an overfit epoch and curves)
+_VARIANTS = (("small_only", True), ("init_only", False), ("p2w", True), ("target", False))
+_FINETUNED = tuple(name for name, tuned in _VARIANTS if tuned)
 # the per-seed metrics each mode aggregates, in summary.csv's column order
-_AGGREGATE_KEYS = (
-    "acc_small_only",
-    "f1_small_only",
-    "acc_init_only",
-    "f1_init_only",
-    "acc_p2w",
-    "f1_p2w",
-    "acc_target",
-    "f1_target",
-)
+_AGGREGATE_KEYS = tuple(f"{metric}_{name}" for name, _ in _VARIANTS for metric in ("acc", "f1"))
+_OVERFIT_RATE_KEYS = tuple(f"overfit_rate_{name}" for name in _FINETUNED)
 
 
 @dataclass(frozen=True)
@@ -122,8 +118,11 @@ def _run_task(
             train_pool.y,
             replace(exp.target, seed=derive_seed(sm, "target-train")),
         )
-        target_m = evaluate_model(target, test_set)
         matrix = run_phase2(target, phase1, cfg, seed=derive_seed(sm, "phase2-trace"))
+        metrics = {
+            "init_only": evaluate_model(matrix_to_coefficients(matrix, cfg.topology), test_set),
+            "target": evaluate_model(target, test_set),
+        }
 
         for mode in exp.modes:
             d_small = sample_dsmall(
@@ -133,37 +132,27 @@ def _run_task(
                 seed=derive_seed(sm, "dsmall", mode),
             )
 
+            hists = {}
             fresh = init_mlp(cfg.topology, derive_seed(sm, "smallonly-init", mode))
-            _, hist_small = run_phase3(
+            _, hists["small_only"] = run_phase3(
                 matrix, d_small, cfg, seed=derive_seed(sm, "ft-small", mode), model=fresh
             )
-            small_m = evaluate_model(fresh, test_set)
-
-            init_model = matrix_to_coefficients(matrix, cfg.topology)
-            init_m = evaluate_model(init_model, test_set)
-
-            tuned, hist_p2w = run_phase3(
+            metrics["small_only"] = evaluate_model(fresh, test_set)
+            tuned, hists["p2w"] = run_phase3(
                 matrix, d_small, cfg, seed=derive_seed(sm, "ft-p2w", mode)
             )
-            p2w_m = evaluate_model(tuned, test_set)
+            metrics["p2w"] = evaluate_model(tuned, test_set)
 
             record = {
                 "seed": seed_i,
-                "acc_small_only": small_m["accuracy"],
-                "f1_small_only": small_m["f1"],
-                "overfit_epoch_small_only": overfit_epoch(hist_small.val_acc),
-                "acc_init_only": init_m["accuracy"],
-                "f1_init_only": init_m["f1"],
-                "acc_p2w": p2w_m["accuracy"],
-                "f1_p2w": p2w_m["f1"],
-                "overfit_epoch_p2w": overfit_epoch(hist_p2w.val_acc),
-                "acc_target": target_m["accuracy"],
-                "f1_target": target_m["f1"],
                 "skew_class": (d_small.imbalance or {}).get("skew_class"),
             }
-            per_mode[mode].append(record)
-
-            for variant, hist in (("small_only", hist_small), ("p2w", hist_p2w)):
+            for name, _ in _VARIANTS:
+                record[f"acc_{name}"] = metrics[name]["accuracy"]
+                record[f"f1_{name}"] = metrics[name]["f1"]
+            for name in _FINETUNED:
+                hist = hists[name]
+                record[f"overfit_epoch_{name}"] = overfit_epoch(hist.val_acc)
                 for epoch, (ta, va) in enumerate(
                     zip(hist.train_acc, hist.val_acc), start=1
                 ):
@@ -172,41 +161,30 @@ def _run_task(
                             "task": cfg.task.name,
                             "seed": seed_i,
                             "mode": mode,
-                            "variant": variant,
+                            "variant": name,
                             "epoch": epoch,
                             "train": ta,
                             "val": va,
                         }
                     )
+            per_mode[mode].append(record)
         if log is not None:
             last = per_mode[exp.modes[0]][-1]
-            log(
-                f"task={cfg.task.name} seed={seed_i} target={last['acc_target']:.3f} "
-                f"small={last['acc_small_only']:.3f} init={last['acc_init_only']:.3f} "
-                f"p2w={last['acc_p2w']:.3f}"
-            )
+            accs = " ".join(f"{name}={last[f'acc_{name}']:.3f}" for name, _ in _VARIANTS)
+            log(f"task={cfg.task.name} seed={seed_i} {accs}")
 
     modes_out = {}
     for mode, records in per_mode.items():
-        agg = {}
-        for key in _AGGREGATE_KEYS:
-            agg[key] = _mean_std([r[key] for r in records])
-        agg["overfit_rate_small_only"] = float(
-            np.mean([r["overfit_epoch_small_only"] is not None for r in records])
-        )
-        agg["overfit_rate_p2w"] = float(
-            np.mean([r["overfit_epoch_p2w"] is not None for r in records])
-        )
+        agg = {key: _mean_std([r[key] for r in records]) for key in _AGGREGATE_KEYS}
+        for name, key in zip(_FINETUNED, _OVERFIT_RATE_KEYS):
+            agg[key] = float(
+                np.mean([r[f"overfit_epoch_{name}"] is not None for r in records])
+            )
         modes_out[mode] = {"per_seed": records, "aggregate": agg}
 
     return {
         "topology": list(cfg.topology),
-        "phase1": {
-            "reached_theta": phase1.reached_theta,
-            "final_val_accuracy": phase1.final_val_accuracy,
-            "test_accuracy": phase1.test_accuracy,
-            "iterations": phase1.iterations,
-        },
+        "phase1": phase1.summary(),
         "modes": modes_out,
     }
 
@@ -254,7 +232,7 @@ def write_report(out_dir, report: dict, curves: list[dict]) -> None:
     header = ["task", "mode"]
     for key in _AGGREGATE_KEYS:
         header += [f"{key}_mean", f"{key}_std"]
-    header += ["overfit_rate_small_only", "overfit_rate_p2w"]
+    header += _OVERFIT_RATE_KEYS
     lines = [",".join(header)]
     for task, tdata in report["tasks"].items():
         for mode, mdata in tdata["modes"].items():
@@ -262,6 +240,6 @@ def write_report(out_dir, report: dict, curves: list[dict]) -> None:
             cells = [task, mode]
             for key in _AGGREGATE_KEYS:
                 cells += [repr(agg[key]["mean"]), repr(agg[key]["std"])]
-            cells += [repr(agg["overfit_rate_small_only"]), repr(agg["overfit_rate_p2w"])]
+            cells += [repr(agg[key]) for key in _OVERFIT_RATE_KEYS]
             lines.append(",".join(cells))
     (out / "summary.csv").write_text("\n".join(lines) + "\n")

@@ -91,6 +91,19 @@ class FinetuneConfig:
     val_frac: float = 0.2
     restore_best: bool = True
 
+    def train_config(self, seed: int) -> TrainConfig:
+        """One fine-tune run's training settings; ``val_frac`` sets its split."""
+        return TrainConfig(
+            epochs=self.epochs_max,
+            batch_size=self.batch_size,
+            lr=self.lr,
+            dropout=self.dropout,
+            seed=seed,
+            early_stop_patience=self.early_stop_patience,
+            lr_halve_after=self.lr_halve_after,
+            restore_best=self.restore_best,
+        )
+
 
 @dataclass
 class PipelineConfig:
@@ -246,6 +259,12 @@ class Phase1Result:
     pairs: Optional[TracePairs]
     split_idx: dict
 
+    # what report.json's phase1 block and ednn.json record of a run
+    SUMMARY_KEYS = ("reached_theta", "final_val_accuracy", "test_accuracy", "iterations")
+
+    def summary(self) -> dict:
+        return {key: getattr(self, key) for key in self.SUMMARY_KEYS}
+
 
 def run_phase1(
     cfg: PipelineConfig, log: Optional[Callable[[str], None]] = None
@@ -282,8 +301,9 @@ def run_phase1(
         }
         # reducer statistics come from the whole current pair set, not a split
         pca = pca_fit(pairs.traces, cfg.pca_k)
-        scaler = Standardizer.fit(pca_transform(pca, pairs.traces))
-        x_all = scaler.apply(pca_transform(pca, pairs.traces))
+        reduced = pca_transform(pca, pairs.traces)
+        scaler = Standardizer.fit(reduced)
+        x_all = scaler.apply(reduced)
         hist = train_ednn(
             ednn,
             x_all[split_idx["train"]],
@@ -405,26 +425,19 @@ def run_phase3(
         start,
         train_ds.x,
         train_ds.y,
-        TrainConfig(
-            epochs=ft.epochs_max,
-            batch_size=ft.batch_size,
-            lr=ft.lr,
-            dropout=ft.dropout,
-            seed=derive_seed(seed, "finetune-train"),
-            early_stop_patience=ft.early_stop_patience,
-            lr_halve_after=ft.lr_halve_after,
-            restore_best=ft.restore_best,
-        ),
+        ft.train_config(derive_seed(seed, "finetune-train")),
         val=(val_ds.x, val_ds.y),
     )
     return start, hist
 
 
-def load_phase1(run_dir) -> Phase1Result:
+def load_phase1(run_dir, config_digest: str) -> Phase1Result:
     """Rehydrate persisted phase-1 artifacts for extraction.
 
     Pair traces are not reloaded; the result carries everything phase 2
     needs (pca, scaler, ednn, fixed input) plus the recorded history.
+    Raises ValueError when the run directory was written under another
+    config than the one with ``config_digest``.
     """
     from .ednn import read_ednn
     from .reduction import read_reduction
@@ -439,17 +452,19 @@ def load_phase1(run_dir) -> Phase1Result:
     if scaler is None:
         raise ValueError(f"{run}: pca_scaler.json is missing")
     ednn, header = read_ednn(run)
+    if header.get("config_digest") != config_digest:
+        raise ValueError(
+            f"{run}: written under config digest {header.get('config_digest')}, "
+            f"but the reading config's digest is {config_digest}"
+        )
     return Phase1Result(
         pca=pca,
         scaler=scaler,
         ednn=ednn,
         fixed=fixed,
-        reached_theta=bool(header.get("reached_theta", False)),
-        iterations=header.get("iterations", []),
-        final_val_accuracy=float(header.get("final_val_accuracy", 0.0)),
-        test_accuracy=float(header.get("test_accuracy", 0.0)),
         pairs=None,
         split_idx={},
+        **{key: header[key] for key in Phase1Result.SUMMARY_KEYS},
     )
 
 
@@ -506,14 +521,4 @@ def persist_phase1(out_dir, result: Phase1Result, config_digest: str) -> None:
     write_reduction(
         out, result.pca, result.scaler, meta={"config_digest": config_digest}
     )
-    write_ednn(
-        out,
-        result.ednn,
-        meta={
-            "config_digest": config_digest,
-            "reached_theta": result.reached_theta,
-            "final_val_accuracy": result.final_val_accuracy,
-            "test_accuracy": result.test_accuracy,
-            "iterations": result.iterations,
-        },
-    )
+    write_ednn(out, result.ednn, meta={"config_digest": config_digest, **result.summary()})

@@ -77,25 +77,19 @@ def pca_fit(x, k: int) -> PcaModel:
     mean = x.mean(axis=0)
     xc = x - mean
 
-    if n >= length:
-        cov = (xc.T @ xc) / (n - 1)
-        evals, evecs = np.linalg.eigh(cov)
-        evals = evals[::-1][:k]
-        comps = evecs[:, ::-1][:, :k].T.copy()
-        if evals[-1] < _RANK_TOL * max(float(evals[0]), 1.0):
-            raise RankDeficiencyError(
-                f"data rank is below k={k}; smallest kept eigenvalue {evals[-1]:.3e}"
-            )
-    else:
-        gram = (xc @ xc.T) / (n - 1)
-        evals_all, u = np.linalg.eigh(gram)
-        evals = evals_all[::-1][:k]
-        if evals[-1] < _RANK_TOL * max(float(evals[0]), 1.0):
-            raise RankDeficiencyError(
-                f"data rank is below k={k}; smallest kept eigenvalue {evals[-1]:.3e}"
-            )
-        lifted = xc.T @ u[:, ::-1][:, :k]
-        comps = (lifted / np.linalg.norm(lifted, axis=0)).T.copy()
+    # fewer rows than columns: eigenvectors of the Gram matrix, lifted below
+    gram = n < length
+    evals, vecs = np.linalg.eigh((xc @ xc.T if gram else xc.T @ xc) / (n - 1))
+    evals = evals[::-1][:k]
+    vecs = vecs[:, ::-1][:, :k]
+    if evals[-1] < _RANK_TOL * max(float(evals[0]), 1.0):
+        raise RankDeficiencyError(
+            f"data rank is below k={k}; smallest kept eigenvalue {evals[-1]:.3e}"
+        )
+    if gram:
+        lifted = xc.T @ vecs
+        vecs = lifted / np.linalg.norm(lifted, axis=0)
+    comps = vecs.T.copy()
 
     evals = np.maximum(evals, 0.0)
     return PcaModel(mean=mean, components=_fix_signs(comps), eigenvalues=evals)

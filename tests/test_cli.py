@@ -300,6 +300,69 @@ def test_extract_from_trace_container(cli_root, tiny_cfg, run_dir):
     assert len(doc["data"]) == 5 and len(doc["data"][0]) == 10
 
 
+def test_run_config_copy_loads_back_to_its_digest(cli_root, run_dir, tiny_digest, capsys):
+    copy = run_dir / "config.json"
+    assert load_run_config(copy).digest == tiny_digest
+    assert main(["validate-config", "--config", str(copy)]) == 0
+    assert json.loads(capsys.readouterr().out)["digest"] == tiny_digest
+
+    out = cli_root / "extract_run_config"
+    trace = cli_root / "trace_run_config"
+    write_trace_container(trace, np.zeros((1, TRACE_LEN)), {"rng_seed": 0})
+    rc = main(
+        [
+            "extract",
+            "--config",
+            str(copy),
+            "--run",
+            str(run_dir),
+            "--trace",
+            str(trace),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 0
+    doc = json.loads((out / "extracted_matrix.json").read_text())
+    assert doc["config_digest"] == tiny_digest
+
+    edited = cli_root / "edited_config.json"
+    doc = json.loads(copy.read_text())
+    doc["master_seed"] += 1
+    edited.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate-config", "--config", str(edited)]) == 2
+    err = capsys.readouterr().err
+    assert "stage=validate-config" in err and tiny_digest in err
+
+
+def test_extract_rejects_run_dir_of_another_config(
+    cli_root, tiny_cfg, run_dir, victim_path, tiny_digest, capsys
+):
+    other = load_run_config(tiny_cfg, seed_override=12).digest
+    assert other != tiny_digest
+    rc = main(
+        [
+            "extract",
+            "--config",
+            tiny_cfg,
+            "--seed",
+            "12",
+            "--run",
+            str(run_dir),
+            "--model",
+            victim_path,
+            "--out",
+            str(cli_root / "extract_other"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage=extract" in err
+    assert tiny_digest in err and other in err
+    assert not (cli_root / "extract_other").exists()
+
+
 def test_extract_length_mismatch_exits_two_naming_topology(
     cli_root, tiny_cfg, run_dir, capsys
 ):

@@ -160,13 +160,29 @@ def test_curves_csv_layout(tmp_path):
     float(cells[6])  # parses as a number
     variants = {ln.split(",")[3] for ln in lines[1:]}
     assert variants == {"small_only", "p2w"}
+    # within each (seed, mode): every small_only row before any p2w row, and
+    # each epoch's train row right before its val row
+    rows = [ln.split(",") for ln in lines[1:]]
+    for key in {(r[1], r[2]) for r in rows}:
+        block = [r for r in rows if (r[1], r[2]) == key]
+        order = [r[3] for r in block]
+        assert order == sorted(order, key=("small_only", "p2w").index)
+        assert [r[5] for r in block] == ["train", "val"] * (len(block) // 2)
+        assert all(a[3:5] == b[3:5] for a, b in zip(block[::2], block[1::2]))
 
 
 def test_summary_csv_one_row_per_task_mode(tmp_path):
     run_experiment([tiny_pipeline()], tiny_experiment(seeds=1), out_dir=tmp_path / "r",
                    config_digest="d")
     lines = (tmp_path / "r" / "summary.csv").read_text().splitlines()
-    assert lines[0].startswith("task,mode,acc_small_only_mean")
+    assert lines[0].split(",") == [
+        "task", "mode",
+        "acc_small_only_mean", "acc_small_only_std", "f1_small_only_mean", "f1_small_only_std",
+        "acc_init_only_mean", "acc_init_only_std", "f1_init_only_mean", "f1_init_only_std",
+        "acc_p2w_mean", "acc_p2w_std", "f1_p2w_mean", "f1_p2w_std",
+        "acc_target_mean", "acc_target_std", "f1_target_mean", "f1_target_std",
+        "overfit_rate_small_only", "overfit_rate_p2w",
+    ]
     assert len(lines) == 3  # header + balanced + imbalanced2x
     assert lines[1].split(",")[:2] == ["pico", "balanced"]
     assert lines[2].split(",")[:2] == ["pico", "imbalanced2x"]

@@ -303,11 +303,37 @@ def test_phase3_is_deterministic_in_seed():
     )
 
 
+@pytest.mark.parametrize("restore_best", [True, False])
+def test_finetune_config_builds_its_train_config(restore_best):
+    # every field off both classes' defaults where a value can be; restore_best
+    # takes both values because the two classes default it differently
+    ft = FinetuneConfig(
+        epochs_max=7,
+        batch_size=5,
+        lr=0.0125,
+        dropout=0.15,
+        early_stop_patience=3,
+        lr_halve_after=2,
+        val_frac=0.4,
+        restore_best=restore_best,
+    )
+    assert ft.train_config(99) == TrainConfig(
+        epochs=7,
+        batch_size=5,
+        lr=0.0125,
+        dropout=0.15,
+        seed=99,
+        early_stop_patience=3,
+        lr_halve_after=2,
+        restore_best=restore_best,
+    )
+
+
 def test_phase1_artifacts_round_trip_to_identical_extraction(tmp_path):
     cfg = tiny_config(theta=0.0)
     res = run_phase1(cfg)
     persist_phase1(tmp_path / "run", res, config_digest="cfg123")
-    back = load_phase1(tmp_path / "run")
+    back = load_phase1(tmp_path / "run", "cfg123")
     assert back.fixed.digest == res.fixed.digest
     assert np.array_equal(back.ednn.param_vector(), res.ednn.param_vector())
     assert np.array_equal(back.pca.components, res.pca.components)

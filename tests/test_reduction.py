@@ -154,6 +154,10 @@ def test_pca_fit_raises_on_rank_deficient_data():
     x = np.tile(np.arange(6.0), (10, 1)) * np.arange(1.0, 11.0)[:, None]
     with pytest.raises(RankDeficiencyError):
         pca_fit(x, 3)  # rank-1 data cannot support 3 components
+    # fewer rows than columns takes the Gram-matrix path; the same check holds
+    wide = np.tile(np.arange(12.0), (4, 1)) * np.arange(1.0, 5.0)[:, None]
+    with pytest.raises(RankDeficiencyError):
+        pca_fit(wide, 3)
 
 
 def test_transform_rejects_length_mismatch():
