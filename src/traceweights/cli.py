@@ -114,12 +114,15 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_prepare_pairs(args) -> int:
+    from .config import ValidationError
     from .pipeline import attacker_data, prepare_pairs, write_fixed_input, write_pairs
 
     run_cfg = _load_config(args)
     pipe = _pick_pipeline(run_cfg, args.task)
     out = Path(args.out)
-    k = min(max(args.iteration, 1), pipe.chunks)
+    k = args.iteration
+    if not 1 <= k <= pipe.chunks:
+        raise ValidationError(f"--iteration {k} is outside 1..{pipe.chunks} (the config's chunks)")
     chunks, fixed = attacker_data(pipe)
     pairs = prepare_pairs(
         chunks[:k], pipe, fixed, iteration=k, log=lambda s: _log("prepare-pairs", s)

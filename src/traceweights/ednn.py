@@ -11,10 +11,8 @@ channels; the "desk" scale halves every width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
-import json
 import numpy as np
 
 from .errors import NumericalError
@@ -41,8 +39,6 @@ __all__ = [
     "ednn_accuracy",
     "train_ednn",
     "predict_weights",
-    "write_ednn",
-    "read_ednn",
 ]
 
 _SCALES = {
@@ -230,37 +226,3 @@ def predict_weights(model: EdnnModel, reduced: np.ndarray) -> np.ndarray:
         raise NumericalError("prediction produced non-finite values")
     return out[0] if single else out
 
-
-def write_ednn(path, model: EdnnModel, meta: Optional[dict] = None) -> None:
-    """ednn.json (architecture + bookkeeping) and ednn.f64 (flat params).
-
-    Parameter order is layer by layer, weights before bias, C order.
-    """
-    d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
-    header = dict(meta or {})
-    header.update(
-        {
-            "scale": model.scale,
-            "input_len": model.input_len,
-            "rows": model.rows,
-            "cols": model.cols,
-            "param_count": int(model.flat.size),
-        }
-    )
-    (d / "ednn.json").write_text(json.dumps(header, indent=2, sort_keys=True))
-    model.flat.astype("<f8", copy=False).tofile(d / "ednn.f64")
-
-
-def read_ednn(path) -> tuple[EdnnModel, dict]:
-    d = Path(path)
-    header = json.loads((d / "ednn.json").read_text())
-    model = build_ednn(
-        int(header["input_len"]),
-        (int(header["rows"]), int(header["cols"])),
-        header["scale"],
-        seed=0,
-    )
-    vec = np.frombuffer((d / "ednn.f64").read_bytes(), dtype="<f8")
-    model.load_param_vector(vec)
-    return model, header

@@ -29,7 +29,6 @@ from .metrics import confusion_matrix, accuracy_from_cm, f1_score, overfit_epoch
 from .mlp import MlpModel, TrainConfig, init_mlp, predict_labels, train_mlp
 from .pipeline import (
     PipelineConfig,
-    Phase1Result,
     persist_phase1,
     run_phase1,
     run_phase2,

@@ -34,13 +34,13 @@ from .codec import (
 from .datasets import Dataset, TaskSpec, chunk, gen_synthetic, stratified_split
 from .device import DeviceConfig, simulate_trace, write_trace_container
 from .ednn import (
+    EdnnHistory,
     EdnnModel,
     EdnnTrainConfig,
     build_ednn,
     ednn_accuracy,
     predict_weights,
     train_ednn,
-    write_ednn,
 )
 from .mlp import (
     MlpModel,
@@ -51,7 +51,7 @@ from .mlp import (
     train_mlp_stack,
     validate_topology,
 )
-from .reduction import PcaModel, Standardizer, pca_fit, pca_transform, write_reduction
+from .reduction import PcaModel, Standardizer, pca_fit, pca_transform
 from .seeding import derive_seed, digest_of
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "PipelineConfig",
     "FixedInput",
     "TracePairs",
+    "Translator",
     "Phase1Result",
     "make_fixed_input",
     "attacker_data",
@@ -247,10 +248,122 @@ def split_counts(n: int, splits: tuple[float, float, float]) -> tuple[int, int, 
 
 
 @dataclass
-class Phase1Result:
-    pca: PcaModel
-    scaler: Standardizer
+class Translator:
+    """Raw traces to weights matrices: PCA, then standardize, then the EDNN.
+
+    The EDNN keeps its parameters across ``fit`` calls (warm restarts);
+    the PCA and standardizer are refit by each call.  ``write`` and
+    ``read`` own the run-directory files pca.f64 (mean then components,
+    little-endian float64), pca.json, pca_scaler.json, ednn.f64 (flat
+    parameters, layer by layer, weight before bias, C order) and ednn.json.
+    """
+
     ednn: EdnnModel
+    pca: Optional[PcaModel] = None
+    scaler: Optional[Standardizer] = None
+
+    def fit(
+        self,
+        cfg: PipelineConfig,
+        pairs: TracePairs,
+        split: dict,
+        iteration: int,
+        log: Optional[Callable[[str], None]] = None,
+    ) -> tuple[EdnnHistory, float]:
+        """One outer iteration; returns the EDNN history and test accuracy."""
+        # reducer statistics come from the whole current pair set, not a split
+        self.pca = pca_fit(pairs.traces, cfg.pca_k)
+        reduced = pca_transform(self.pca, pairs.traces)
+        self.scaler = Standardizer.fit(reduced)
+        x_all = self.scaler.apply(reduced)
+        mask = nonpad_mask(cfg.topology)
+        hist = train_ednn(
+            self.ednn,
+            x_all[split["train"]],
+            pairs.matrices[split["train"]],
+            replace(cfg.ednn, seed=derive_seed(cfg.master_seed, "ednn-train", iteration)),
+            theta=cfg.theta,
+            val=(x_all[split["val"]], pairs.matrices[split["val"]]),
+            mask=mask,
+            log=log,
+        )
+        test_acc = ednn_accuracy(
+            self.ednn.forward(x_all[split["test"]], train=False),
+            pairs.matrices[split["test"]],
+            cfg.ednn.tau,
+            mask,
+        )
+        return hist, test_acc
+
+    def predict(self, traces: np.ndarray) -> np.ndarray:
+        """(n, trace_len) raw traces to (n, rows, cols) matrices."""
+        return predict_weights(self.ednn, self.scaler.apply(pca_transform(self.pca, traces)))
+
+    def write(self, run_dir, meta: dict) -> None:
+        """The five files; ``meta`` heads ednn.json, pca.json takes its config_digest."""
+        d = Path(run_dir)
+        d.mkdir(parents=True, exist_ok=True)
+        pca, ednn = self.pca, self.ednn
+        payload = np.concatenate([pca.mean[None, :], pca.components], axis=0)
+        (d / "pca.f64").write_bytes(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        pca_meta = {
+            "config_digest": meta["config_digest"],
+            "k": int(pca.k),
+            "length": int(pca.length),
+            "eigenvalues": pca.eigenvalues.tolist(),
+        }
+        scaler = {"mean": self.scaler.mean.tolist(), "std": self.scaler.std.tolist()}
+        ednn_meta = {
+            **meta,
+            "scale": ednn.scale,
+            "input_len": ednn.input_len,
+            "rows": ednn.rows,
+            "cols": ednn.cols,
+            "param_count": int(ednn.flat.size),
+        }
+        docs = {"pca.json": pca_meta, "pca_scaler.json": scaler, "ednn.json": ednn_meta}
+        for name, doc in docs.items():
+            (d / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
+        ednn.flat.astype("<f8", copy=False).tofile(d / "ednn.f64")
+
+    @classmethod
+    def read(cls, run_dir) -> tuple[Translator, dict]:
+        """The translator ``write`` left in ``run_dir``, and ednn.json's meta.
+
+        Raises ValueError when a binary file's size disagrees with its
+        header, or when pca.json and ednn.json carry different config
+        digests (files of two runs mixed in one directory).
+        """
+        d = Path(run_dir)
+        pca_meta = json.loads((d / "pca.json").read_text())
+        meta = json.loads((d / "ednn.json").read_text())
+        if pca_meta.get("config_digest") != meta.get("config_digest"):
+            raise ValueError(
+                f"{d}: pca.json was written under config digest "
+                f"{pca_meta.get('config_digest')}, ednn.json under {meta.get('config_digest')}"
+            )
+        k, length = int(pca_meta["k"]), int(pca_meta["length"])
+        raw = np.frombuffer((d / "pca.f64").read_bytes(), dtype="<f8")
+        if raw.size != (k + 1) * length:
+            raise ValueError(f"pca.f64 holds {raw.size} values, pca.json says {(k + 1) * length}")
+        block = raw.reshape(k + 1, length)
+        pca = PcaModel(
+            mean=block[0].copy(),
+            components=block[1:].copy(),
+            eigenvalues=np.asarray(pca_meta["eigenvalues"], dtype=np.float64),
+        )
+        sd = json.loads((d / "pca_scaler.json").read_text())
+        scaler = Standardizer(np.asarray(sd["mean"], np.float64), np.asarray(sd["std"], np.float64))
+        ednn = build_ednn(
+            int(meta["input_len"]), (int(meta["rows"]), int(meta["cols"])), meta["scale"], seed=0
+        )
+        ednn.load_param_vector(np.frombuffer((d / "ednn.f64").read_bytes(), dtype="<f8"))
+        return cls(ednn=ednn, pca=pca, scaler=scaler), meta
+
+
+@dataclass
+class Phase1Result:
+    translator: Translator
     fixed: FixedInput
     reached_theta: bool
     iterations: list[dict]
@@ -275,14 +388,16 @@ def run_phase1(
     used and validation accuracy still falls short.
     """
     chunks, fixed = attacker_data(cfg)
-    rows, cols = matrix_shape(cfg.topology)
-    mask = nonpad_mask(cfg.topology)
-
-    ednn = build_ednn(
-        cfg.pca_k, (rows, cols), cfg.scale, seed=derive_seed(cfg.master_seed, "ednn-init")
+    translator = Translator(
+        build_ednn(
+            cfg.pca_k,
+            matrix_shape(cfg.topology),
+            cfg.scale,
+            seed=derive_seed(cfg.master_seed, "ednn-init"),
+        )
     )
     iterations: list[dict] = []
-    pca = scaler = pairs = None
+    pairs = None
     split_idx: dict = {}
     reached = False
     val_acc = 0.0
@@ -299,28 +414,8 @@ def run_phase1(
             "test": order[n_train : n_train + n_test],
             "val": order[n_train + n_test :],
         }
-        # reducer statistics come from the whole current pair set, not a split
-        pca = pca_fit(pairs.traces, cfg.pca_k)
-        reduced = pca_transform(pca, pairs.traces)
-        scaler = Standardizer.fit(reduced)
-        x_all = scaler.apply(reduced)
-        hist = train_ednn(
-            ednn,
-            x_all[split_idx["train"]],
-            pairs.matrices[split_idx["train"]],
-            replace(cfg.ednn, seed=derive_seed(cfg.master_seed, "ednn-train", k)),
-            theta=cfg.theta,
-            val=(x_all[split_idx["val"]], pairs.matrices[split_idx["val"]]),
-            mask=mask,
-            log=log,
-        )
+        hist, test_acc = translator.fit(cfg, pairs, split_idx, k, log=log)
         val_acc = hist.val_accuracy[-1] if hist.val_accuracy else 0.0
-        test_acc = ednn_accuracy(
-            ednn.forward(x_all[split_idx["test"]], train=False),
-            pairs.matrices[split_idx["test"]],
-            cfg.ednn.tau,
-            mask,
-        )
         iterations.append(
             {
                 "iteration": k,
@@ -342,9 +437,7 @@ def run_phase1(
             break
 
     return Phase1Result(
-        pca=pca,
-        scaler=scaler,
-        ednn=ednn,
+        translator=translator,
         fixed=fixed,
         reached_theta=reached,
         iterations=iterations,
@@ -363,9 +456,9 @@ def run_phase2(
 ) -> WeightsMatrix:
     """Capture one trace of the victim model and translate it.
 
-    The victim must share the pipeline topology; its trace must match
-    the fitted PCA length.  The same fixed input is replayed, asserted
-    by digest.
+    The victim must share the pipeline topology, so its trace has the
+    length the translator was fit on.  The same fixed input is replayed,
+    asserted by digest.
     """
     if tuple(target.topology) != tuple(cfg.topology):
         raise ValueError(
@@ -381,18 +474,18 @@ def run_phase2(
 def translate_trace(
     samples: np.ndarray, phase1: Phase1Result, topology: tuple[int, ...]
 ) -> WeightsMatrix:
-    """One raw trace through the fitted reducer and translator."""
+    """One raw trace through the fitted translator."""
     samples = _f32_exact(np.asarray(samples, dtype=np.float64)[None, :])
-    if samples.shape[1] != phase1.pca.length:
+    length = phase1.translator.pca.length
+    if samples.shape[1] != length:
         raise ValueError(
             f"trace length {samples.shape[1]} violates topology "
-            f"{tuple(topology)}: the fitted reducer expects "
-            f"{phase1.pca.length} samples"
+            f"{tuple(topology)}: the fitted reducer expects {length} samples"
         )
-    reduced = phase1.scaler.apply(pca_transform(phase1.pca, samples))
-    pred = predict_weights(phase1.ednn, reduced)[0]
     rows, cols = matrix_shape(topology)
-    return WeightsMatrix(rows=rows, cols=cols, topology=tuple(topology), data=pred)
+    return WeightsMatrix(
+        rows=rows, cols=cols, topology=tuple(topology), data=phase1.translator.predict(samples)[0]
+    )
 
 
 def run_phase3(
@@ -435,36 +528,33 @@ def load_phase1(run_dir, config_digest: str) -> Phase1Result:
     """Rehydrate persisted phase-1 artifacts for extraction.
 
     Pair traces are not reloaded; the result carries everything phase 2
-    needs (pca, scaler, ednn, fixed input) plus the recorded history.
-    Raises ValueError when the run directory was written under another
-    config than the one with ``config_digest``.
+    needs (the translator and the fixed input) plus the recorded history.
+    Raises ValueError when fixed_input.json, pca.json or ednn.json was
+    written under another config than the one with ``config_digest``.
     """
-    from .ednn import read_ednn
-    from .reduction import read_reduction
-
     run = Path(run_dir)
     fixed_raw = json.loads((run / "fixed_input.json").read_text())
-    fixed = FixedInput(
-        values=np.asarray(fixed_raw["values"], dtype=np.float64),
-        digest=fixed_raw["digest"],
-    )
-    pca, scaler, _ = read_reduction(run)
-    if scaler is None:
-        raise ValueError(f"{run}: pca_scaler.json is missing")
-    ednn, header = read_ednn(run)
-    if header.get("config_digest") != config_digest:
-        raise ValueError(
-            f"{run}: written under config digest {header.get('config_digest')}, "
-            f"but the reading config's digest is {config_digest}"
-        )
+    translator, meta = Translator.read(run)
+    # Translator.read has matched pca.json's stamp to ednn.json's
+    stamps = {
+        "fixed_input.json": fixed_raw.get("config_digest"),
+        "ednn.json": meta.get("config_digest"),
+    }
+    for name, stamp in stamps.items():
+        if stamp != config_digest:
+            raise ValueError(
+                f"{run / name}: written under config digest {stamp}, "
+                f"but the reading config's digest is {config_digest}"
+            )
     return Phase1Result(
-        pca=pca,
-        scaler=scaler,
-        ednn=ednn,
-        fixed=fixed,
+        translator=translator,
+        fixed=FixedInput(
+            values=np.asarray(fixed_raw["values"], dtype=np.float64),
+            digest=fixed_raw["digest"],
+        ),
         pairs=None,
         split_idx={},
-        **{key: header[key] for key in Phase1Result.SUMMARY_KEYS},
+        **{key: meta[key] for key in Phase1Result.SUMMARY_KEYS},
     )
 
 
@@ -514,11 +604,8 @@ def write_pairs(out_dir, pairs: TracePairs, config_digest: str, splits=None) -> 
 
 
 def persist_phase1(out_dir, result: Phase1Result, config_digest: str) -> None:
-    """Write the run-dir artifacts: fixed_input.json, pairs/, pca.*, ednn.*."""
+    """Write the run-dir artifacts: fixed_input.json, pairs/ and the translator's files."""
     out = Path(out_dir)
     write_fixed_input(out, result.fixed, config_digest)
     write_pairs(out / "pairs", result.pairs, config_digest, splits=result.split_idx)
-    write_reduction(
-        out, result.pca, result.scaler, meta={"config_digest": config_digest}
-    )
-    write_ednn(out, result.ednn, meta={"config_digest": config_digest, **result.summary()})
+    result.translator.write(out, {"config_digest": config_digest, **result.summary()})

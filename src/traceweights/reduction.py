@@ -10,10 +10,7 @@ positive, making fits reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -25,8 +22,6 @@ __all__ = [
     "Standardizer",
     "pca_fit",
     "pca_transform",
-    "write_reduction",
-    "read_reduction",
 ]
 
 _RANK_TOL = 1e-10
@@ -121,58 +116,3 @@ class Standardizer:
     def apply(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
-
-def write_reduction(
-    path, model: PcaModel, scaler: Optional[Standardizer] = None, meta: Optional[dict] = None
-) -> None:
-    """pca.json + pca.f64 (mean then components, little-endian float64).
-
-    The standardizer, when given, lands in pca_scaler.json next to them.
-    """
-    d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
-    header = dict(meta or {})
-    header.update(
-        {
-            "k": int(model.k),
-            "length": int(model.length),
-            "eigenvalues": model.eigenvalues.tolist(),
-        }
-    )
-    payload = np.concatenate([model.mean[None, :], model.components], axis=0)
-    (d / "pca.f64").write_bytes(np.ascontiguousarray(payload, dtype="<f8").tobytes())
-    (d / "pca.json").write_text(json.dumps(header, indent=2, sort_keys=True))
-    if scaler is not None:
-        (d / "pca_scaler.json").write_text(
-            json.dumps(
-                {"mean": scaler.mean.tolist(), "std": scaler.std.tolist()},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-
-
-def read_reduction(path) -> tuple[PcaModel, Optional[Standardizer], dict]:
-    d = Path(path)
-    header = json.loads((d / "pca.json").read_text())
-    k, length = int(header["k"]), int(header["length"])
-    raw = np.frombuffer((d / "pca.f64").read_bytes(), dtype="<f8")
-    if raw.size != (k + 1) * length:
-        raise ValueError(
-            f"pca.f64 holds {raw.size} values, pca.json says {(k + 1) * length}"
-        )
-    block = raw.reshape(k + 1, length)
-    model = PcaModel(
-        mean=block[0].copy(),
-        components=block[1:].copy(),
-        eigenvalues=np.asarray(header.get("eigenvalues", [0.0] * k), dtype=np.float64),
-    )
-    scaler = None
-    sp = d / "pca_scaler.json"
-    if sp.exists():
-        sd = json.loads(sp.read_text())
-        scaler = Standardizer(
-            mean=np.asarray(sd["mean"], dtype=np.float64),
-            std=np.asarray(sd["std"], dtype=np.float64),
-        )
-    return model, scaler, header

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -253,6 +254,22 @@ def test_prepare_pairs_writes_containers(cli_root, tiny_cfg, tiny_digest):
     assert (out / "pairs" / "matrices.f32").exists()
 
 
+def test_prepare_pairs_iteration_must_name_a_chunk_count(cli_root, tiny_cfg, capsys):
+    for iteration in ("0", "3"):
+        out = cli_root / f"pairs_iteration_{iteration}"
+        rc = main(
+            ["prepare-pairs", "--config", tiny_cfg, "--iteration", iteration, "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage=prepare-pairs" in err and f"--iteration {iteration}" in err
+        assert not out.exists()
+    out = cli_root / "pairs_iteration_2"
+    assert main(["prepare-pairs", "--config", tiny_cfg, "--iteration", "2", "--out", str(out)]) == 0
+    meta = json.loads((out / "pairs" / "meta.json").read_text())
+    assert meta["count"] == 2 * TINY_CONFIG["phase1"]["reps"]
+
+
 def test_train_ednn_run_dir_layout(run_dir, tiny_digest, capsys):
     for name in ("config.json", "fixed_input.json", "pairs", "pca.json", "ednn.json"):
         assert (run_dir / name).exists()
@@ -361,6 +378,46 @@ def test_extract_rejects_run_dir_of_another_config(
     assert "stage=extract" in err
     assert tiny_digest in err and other in err
     assert not (cli_root / "extract_other").exists()
+
+
+def _extract_copy_of_run(cli_root, tiny_cfg, run_dir, victim_path, name, edit):
+    run = cli_root / f"run_{name}"
+    shutil.copytree(run_dir, run)
+    edit(run)
+    out = cli_root / f"extract_{name}"
+    rc = main(
+        ["extract", "--config", tiny_cfg, "--run", str(run), "--model", victim_path,
+         "--out", str(out)]
+    )
+    assert not out.exists()
+    return rc
+
+
+@pytest.mark.parametrize("name", ["pca.json", "fixed_input.json"])
+def test_extract_refuses_run_dir_with_a_file_of_another_config(
+    cli_root, tiny_cfg, run_dir, victim_path, tiny_digest, name, capsys
+):
+    def restamp(run):
+        doc = json.loads((run / name).read_text())
+        doc["config_digest"] = "0123456789abcdef"
+        (run / name).write_text(json.dumps(doc))
+
+    assert _extract_copy_of_run(cli_root, tiny_cfg, run_dir, victim_path, name, restamp) == 2
+    err = capsys.readouterr().err
+    assert "stage=extract" in err and name in err
+    assert tiny_digest in err and "0123456789abcdef" in err
+
+
+def test_extract_run_dir_without_scaler_exits_two(
+    cli_root, tiny_cfg, run_dir, victim_path, capsys
+):
+    def drop_scaler(run):
+        (run / "pca_scaler.json").unlink()
+
+    rc = _extract_copy_of_run(cli_root, tiny_cfg, run_dir, victim_path, "no_scaler", drop_scaler)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage=extract" in err and "pca_scaler.json" in err
 
 
 def test_extract_length_mismatch_exits_two_naming_topology(

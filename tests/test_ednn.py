@@ -10,11 +10,11 @@ from traceweights.ednn import (
     build_ednn,
     ednn_accuracy,
     predict_weights,
-    read_ednn,
     train_ednn,
-    write_ednn,
 )
 from traceweights.nn import Adam, Conv1D, ConvTranspose1D, Dense, Dropout
+from traceweights.pipeline import Translator
+from traceweights.reduction import Standardizer, pca_fit, pca_transform
 
 
 def _signal_lengths(model, x):
@@ -232,12 +232,12 @@ def test_predict_weights_shapes_and_determinism():
     assert np.all(np.isfinite(out))
 
 
-def test_checkpoint_round_trip(tmp_path):
+def test_checkpoint_round_trip():
     model = build_ednn(18, (2, 3), "desk", seed=23)
-    write_ednn(tmp_path / "m", model, meta={"tag": "t"})
-    back, header = read_ednn(tmp_path / "m")
+    back = build_ednn(18, (2, 3), "desk", seed=0)
+    back.load_param_vector(model.param_vector())
     assert np.array_equal(back.param_vector(), model.param_vector())
-    assert header["rows"] == 2 and header["cols"] == 3 and header["tag"] == "t"
+    assert not np.shares_memory(model.param_vector(), model.flat)
     x = np.random.default_rng(24).normal(size=18)
     assert np.array_equal(predict_weights(back, x), predict_weights(model, x))
     with pytest.raises(ValueError):
@@ -285,12 +285,20 @@ def _assert_packed(model):
     assert np.array_equal(model.flat, np.concatenate(params))
 
 
+def _write_through_translator(run_dir, model):
+    """Write ``model`` as ednn.f64/ednn.json beside a PCA of matching k."""
+    traces = np.random.default_rng(33).normal(size=(model.input_len + 4, model.input_len + 5))
+    pca = pca_fit(traces, model.input_len)
+    scaler = Standardizer.fit(pca_transform(pca, traces))
+    Translator(ednn=model, pca=pca, scaler=scaler).write(run_dir, {"config_digest": "c"})
+
+
 def test_built_and_read_models_keep_layer_params_as_views(tmp_path):
     model = build_ednn(18, (2, 3), "desk", seed=29)
     _assert_packed(model)
-    write_ednn(tmp_path / "m", model)
-    back, _ = read_ednn(tmp_path / "m")
-    _assert_packed(back)
+    _write_through_translator(tmp_path / "m", model)
+    back, _ = Translator.read(tmp_path / "m")
+    _assert_packed(back.ednn)
     assert not np.shares_memory(model.param_vector(), model.flat)
 
 
@@ -305,7 +313,7 @@ def test_load_param_vector_writes_in_place():
 
 def test_write_ednn_bytes_are_layer_params_in_order(tmp_path):
     model = build_ednn(16, (2, 2), "desk", seed=32)
-    write_ednn(tmp_path / "m", model)
+    _write_through_translator(tmp_path / "m", model)
     per_layer = [p.ravel() for layer in _parametric(model) for p in layer.params]
     expect = np.concatenate(per_layer).astype("<f8").tobytes()
     assert (tmp_path / "m" / "ednn.f64").read_bytes() == expect

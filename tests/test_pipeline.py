@@ -1,5 +1,5 @@
-"""Three-phase pipeline: pair preparation, the chunk-growing loop,
-extraction, fine-tuning, and artifact persistence.
+"""Three-phase pipeline: pair preparation, the chunk-growing loop, the
+translator, extraction, fine-tuning, and artifact persistence.
 
 Every run here uses a deliberately tiny configuration (3 features,
 [3,4,1] topology, tens of pairs) so the full loop stays fast while
@@ -12,11 +12,12 @@ import pytest
 from traceweights.codec import coefficients_to_matrix, matrix_shape
 from traceweights.datasets import TaskSpec, gen_synthetic, sample_dsmall
 from traceweights.device import DeviceConfig, simulate_trace
-from traceweights.ednn import EdnnTrainConfig
+from traceweights.ednn import EdnnTrainConfig, build_ednn
 from traceweights.mlp import TrainConfig, init_mlp, model_accuracy, train_mlp
 from traceweights.pipeline import (
     FinetuneConfig,
     PipelineConfig,
+    Translator,
     load_phase1,
     make_fixed_input,
     persist_phase1,
@@ -27,6 +28,7 @@ from traceweights.pipeline import (
     split_counts,
     translate_trace,
 )
+from traceweights.reduction import Standardizer, pca_fit, pca_transform
 from traceweights.seeding import derive_seed
 
 TASK = TaskSpec(name="pico", n_features=3, n_classes=2, separation=2.0, seed=1)
@@ -175,8 +177,8 @@ def test_phase1_theta_zero_stops_after_one_iteration():
     assert res.reached_theta
     assert len(res.iterations) == 1
     assert res.iterations[0]["pairs"] == 18
-    assert res.pca.k == 16
-    assert res.ednn.input_len == 16
+    assert res.translator.pca.k == 16
+    assert res.translator.ednn.input_len == 16
 
 
 def test_phase1_unreachable_theta_exhausts_chunks_with_flag():
@@ -335,9 +337,9 @@ def test_phase1_artifacts_round_trip_to_identical_extraction(tmp_path):
     persist_phase1(tmp_path / "run", res, config_digest="cfg123")
     back = load_phase1(tmp_path / "run", "cfg123")
     assert back.fixed.digest == res.fixed.digest
-    assert np.array_equal(back.ednn.param_vector(), res.ednn.param_vector())
-    assert np.array_equal(back.pca.components, res.pca.components)
-    assert np.array_equal(back.scaler.mean, res.scaler.mean)
+    assert np.array_equal(back.translator.ednn.param_vector(), res.translator.ednn.param_vector())
+    assert np.array_equal(back.translator.pca.components, res.translator.pca.components)
+    assert np.array_equal(back.translator.scaler.mean, res.translator.scaler.mean)
     target = init_mlp(cfg.topology, seed=77)
     m_mem = run_phase2(target, res, cfg)
     m_disk = run_phase2(target, back, cfg)
@@ -345,3 +347,44 @@ def test_phase1_artifacts_round_trip_to_identical_extraction(tmp_path):
     assert (tmp_path / "run" / "pairs" / "traces.f32").exists()
     assert back.reached_theta == res.reached_theta
     assert back.iterations == res.iterations
+
+
+TRANSLATOR_FILES = ("pca.f64", "pca.json", "pca_scaler.json", "ednn.f64", "ednn.json")
+
+
+def _written_translator(run_dir):
+    rng = np.random.default_rng(12)
+    traces = rng.normal(size=(20, 21))
+    pca = pca_fit(traces, 16)
+    translator = Translator(
+        ednn=build_ednn(16, (2, 3), "desk", seed=23),
+        pca=pca,
+        scaler=Standardizer.fit(pca_transform(pca, traces)),
+    )
+    translator.write(run_dir, {"config_digest": "cfg123", "tag": "t"})
+    return translator, traces
+
+
+def test_translator_read_then_write_reproduces_all_five_files(tmp_path):
+    original, traces = _written_translator(tmp_path / "a")
+    back, meta = Translator.read(tmp_path / "a")
+    assert np.array_equal(back.pca.mean, original.pca.mean)
+    assert np.array_equal(back.pca.components, original.pca.components)
+    assert np.array_equal(back.pca.eigenvalues, original.pca.eigenvalues)
+    assert np.array_equal(back.scaler.mean, original.scaler.mean)
+    assert np.array_equal(back.scaler.std, original.scaler.std)
+    assert np.array_equal(back.ednn.param_vector(), original.ednn.param_vector())
+    assert np.array_equal(back.predict(traces), original.predict(traces))
+    assert meta["rows"] == 2 and meta["cols"] == 3 and meta["tag"] == "t"
+    back.write(tmp_path / "b", meta)
+    for name in TRANSLATOR_FILES:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_translator_read_rejects_truncated_binaries(tmp_path):
+    for name in ("pca.f64", "ednn.f64"):
+        run = tmp_path / name
+        _written_translator(run)
+        (run / name).write_bytes((run / name).read_bytes()[:-8])
+        with pytest.raises(ValueError):
+            Translator.read(run)

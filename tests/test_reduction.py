@@ -14,8 +14,6 @@ from traceweights.reduction import (
     Standardizer,
     pca_fit,
     pca_transform,
-    read_reduction,
-    write_reduction,
 )
 
 
@@ -191,27 +189,3 @@ def test_standardizer_constant_dimension_maps_to_zero():
     assert np.all(z[:, 0] == 0.0)
     assert s.std[0] == 1e-12
 
-
-def test_reduction_container_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(20, 9))
-    model = pca_fit(x, 4)
-    scaler = Standardizer.fit(pca_transform(model, x))
-    write_reduction(tmp_path / "r", model, scaler, meta={"note": "t"})
-    m2, s2, header = read_reduction(tmp_path / "r")
-    assert np.array_equal(m2.mean, model.mean)
-    assert np.array_equal(m2.components, model.components)
-    assert np.array_equal(m2.eigenvalues, model.eigenvalues)
-    assert np.array_equal(s2.mean, scaler.mean)
-    assert np.array_equal(s2.std, scaler.std)
-    assert header["k"] == 4 and header["length"] == 9 and header["note"] == "t"
-
-
-def test_reduction_container_detects_truncation(tmp_path):
-    rng = np.random.default_rng(13)
-    model = pca_fit(rng.normal(size=(10, 5)), 2)
-    write_reduction(tmp_path / "r", model)
-    payload = (tmp_path / "r" / "pca.f64").read_bytes()
-    (tmp_path / "r" / "pca.f64").write_bytes(payload[:-8])
-    with pytest.raises(ValueError):
-        read_reduction(tmp_path / "r")

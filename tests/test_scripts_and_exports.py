@@ -1,9 +1,11 @@
-"""Every script starts and every exported name resolves.
+"""Every script starts, every exported name resolves, and every
+function the benchmark tracer patches still exists.
 
-A script or an ``__all__`` entry that still names a removed function fails
-here instead of at its first real use.
+A script, an ``__all__`` entry or a tracer patch point that still names a
+removed function fails here instead of at its first real use.
 """
 
+import ast
 import pkgutil
 import subprocess
 import sys
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import traceweights
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_scripts_start_and_exports_resolve():
@@ -30,3 +33,22 @@ def test_scripts_start_and_exports_resolve():
             f"{info.name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)
         ]
     assert not missing
+
+
+def test_tracer_patch_points_resolve():
+    # read, not imported: the tracer's table of (module, attribute) patch points
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    table = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_FUNCTIONS"
+    )
+    assert table
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attrs in table.items()
+        for attr in attrs
+        if not hasattr(import_module(f"traceweights.{mod}"), attr)
+    ]
+    assert not missing
+    assert hasattr(import_module("traceweights.nn").Adam, "step")
