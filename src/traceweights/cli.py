@@ -69,19 +69,9 @@ def _pick_pipeline(run_cfg, name):
 
 
 def _write_config_copy(out: Path, run_cfg) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    doc = dict(run_cfg.raw)
-    doc["config_digest"] = run_cfg.digest
-    (out / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    from .artifacts import write_json
 
-
-def _write_curves(path: Path, history) -> None:
-    lines = ["epoch,split,accuracy"]
-    for e, acc in enumerate(history.train_acc, start=1):
-        lines.append(f"{e},train,{acc!r}")
-    for e, acc in enumerate(history.val_acc, start=1):
-        lines.append(f"{e},val,{acc!r}")
-    path.write_text("\n".join(lines) + "\n")
+    write_json(out / "config.json", {**run_cfg.raw, "config_digest": run_cfg.digest})
 
 
 def _cmd_validate_config(args) -> int:
@@ -152,6 +142,7 @@ def _cmd_train_ednn(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from .artifacts import read_json, write_json
     from .config import ValidationError
     from .device import read_trace_container
     from .mlp import model_from_dict
@@ -164,18 +155,19 @@ def _cmd_extract(args) -> int:
     if (args.model is None) == (args.trace is None):
         raise ValidationError("need exactly one of --model or --trace")
     if args.model is not None:
-        target = model_from_dict(json.loads(Path(args.model).read_text()))
+        target = model_from_dict(read_json(args.model))
         matrix = run_phase2(target, phase1, pipe)
     else:
         traces, _ = read_trace_container(args.trace)
+        if not 0 <= args.trace_index < len(traces):
+            raise ValidationError(
+                f"--trace-index {args.trace_index} is outside {args.trace}'s {len(traces)} rows"
+            )
         matrix = translate_trace(
             traces[args.trace_index].astype("float64"), phase1, pipe.topology
         )
-    out.mkdir(parents=True, exist_ok=True)
-    doc = matrix.to_json_dict()
-    doc["config_digest"] = run_cfg.digest
-    doc["fixed_digest"] = phase1.fixed.digest
-    (out / "extracted_matrix.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    stamps = {"config_digest": run_cfg.digest, "fixed_digest": phase1.fixed.digest}
+    write_json(out / "extracted_matrix.json", {**matrix.to_json_dict(), **stamps})
     _log("extract", f"rows={matrix.rows} cols={matrix.cols} out={out}")
     return 0
 
@@ -183,6 +175,7 @@ def _cmd_extract(args) -> int:
 def _cmd_finetune(args) -> int:
     from dataclasses import replace
 
+    from .artifacts import read_json, write_json, write_text
     from .codec import WeightsMatrix
     from .datasets import read_dataset
     from .mlp import model_to_dict
@@ -192,18 +185,18 @@ def _cmd_finetune(args) -> int:
     run_cfg = _load_config(args)
     pipe = _pick_pipeline(run_cfg, args.task)
     out = Path(args.out)
-    matrix = WeightsMatrix.from_json_dict(json.loads(Path(args.matrix).read_text()))
+    matrix = WeightsMatrix.from_json_dict(read_json(args.matrix))
     d_small = read_dataset(args.data)
     if args.epochs_max is not None:
         pipe = replace(pipe, finetune=replace(pipe.finetune, epochs_max=args.epochs_max))
     model, hist = run_phase3(
         matrix, d_small, pipe, seed=derive_seed(pipe.master_seed, "cli", "finetune")
     )
-    out.mkdir(parents=True, exist_ok=True)
-    doc = model_to_dict(model)
-    doc["config_digest"] = run_cfg.digest
-    (out / "final_model.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
-    _write_curves(out / "curves.csv", hist)
+    write_json(out / "final_model.json", {**model_to_dict(model), "config_digest": run_cfg.digest})
+    lines = ["epoch,split,accuracy"]
+    for split, accs in (("train", hist.train_acc), ("val", hist.val_acc)):
+        lines += [f"{e},{split},{acc!r}" for e, acc in enumerate(accs, start=1)]
+    write_text(out / "curves.csv", "\n".join(lines) + "\n")
     last_val = hist.val_acc[-1] if hist.val_acc else None
     _log(
         "finetune",
@@ -214,19 +207,18 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .artifacts import read_json, write_json
     from .datasets import read_dataset
     from .experiment import evaluate_model
     from .mlp import model_from_dict
 
     run_cfg = _load_config(args)
-    model = model_from_dict(json.loads(Path(args.model).read_text()))
+    model = model_from_dict(read_json(args.model))
     ds = read_dataset(args.data)
     metrics = evaluate_model(model, ds)
     metrics["config_digest"] = run_cfg.digest
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True))
+        write_json(Path(args.out) / "metrics.json", metrics)
     _log("evaluate", f"accuracy={metrics['accuracy']!r} f1={metrics['f1']!r}")
     print(json.dumps(metrics, sort_keys=True))
     return 0

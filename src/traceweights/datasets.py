@@ -10,12 +10,13 @@ and ternary (13 features, 3 classes).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from .artifacts import read_array, read_json, write_array, write_json
 
 __all__ = [
     "TaskSpec",
@@ -275,10 +276,7 @@ def load_csv(path, label_column: str) -> Dataset:
 def write_dataset(path, ds: Dataset, meta: Optional[dict] = None) -> None:
     """data.json plus data.f32: features row-major, then labels."""
     d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
-    feats = np.ascontiguousarray(ds.x, dtype="<f4")
-    labels = np.ascontiguousarray(ds.y, dtype="<f4")
-    (d / "data.f32").write_bytes(feats.tobytes() + labels.tobytes())
+    write_array(d / "data.f32", np.concatenate([ds.x.reshape(-1), ds.y]), "<f4")
     meta = dict(meta or {})
     meta |= {
         "name": ds.name,
@@ -289,16 +287,14 @@ def write_dataset(path, ds: Dataset, meta: Optional[dict] = None) -> None:
         "imbalance": ds.imbalance,
         "layout": "features row-major, then labels, all <f4",
     }
-    (d / "data.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    write_json(d / "data.json", meta)
 
 
 def read_dataset(path) -> Dataset:
     d = Path(path)
-    meta = json.loads((d / "data.json").read_text())
-    raw = np.frombuffer((d / "data.f32").read_bytes(), dtype="<f4")
+    meta = read_json(d / "data.json")
     n, dim = int(meta["n"]), int(meta["d"])
-    if raw.size != n * dim + n:
-        raise ValueError(f"{d}: data.f32 holds {raw.size} values, expected {n * dim + n}")
+    raw = read_array(d / "data.f32", "<f4", (n * dim + n,))
     x = raw[: n * dim].reshape(n, dim).astype(np.float64)
     y = raw[n * dim :].astype(np.int64)
     return Dataset(

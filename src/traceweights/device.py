@@ -16,13 +16,13 @@ clamped and quantized by an ADC with 2**adc_bits uniform levels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import read_array, read_json, write_array, write_json
 from .mlp import MlpModel, validate_topology
 from .nn import relu
 from .seeding import digest_of
@@ -175,25 +175,16 @@ def quantize_trace(trace, bits: int, rng: tuple[float, float]) -> np.ndarray:
 def write_trace_container(path, traces: np.ndarray, meta: dict) -> None:
     """meta.json plus traces.f32, flat little-endian float32, row-major."""
     d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
-    arr = np.ascontiguousarray(np.asarray(traces), dtype="<f4")
+    arr = np.asarray(traces)
     if arr.ndim != 2:
         raise ValueError(f"traces must be 2-d, got shape {arr.shape}")
-    full = dict(meta)
-    full.update(
-        {"count": int(arr.shape[0]), "trace_len": int(arr.shape[1]), "dtype": "<f4"}
-    )
-    (d / "traces.f32").write_bytes(arr.tobytes())
-    (d / "meta.json").write_text(json.dumps(full, indent=2, sort_keys=True))
+    write_array(d / "traces.f32", arr, "<f4")
+    count, trace_len = arr.shape
+    write_json(d / "meta.json", {**meta, "count": count, "trace_len": trace_len, "dtype": "<f4"})
 
 
 def read_trace_container(path) -> tuple[np.ndarray, dict]:
     d = Path(path)
-    meta = json.loads((d / "meta.json").read_text())
-    raw = np.frombuffer((d / "traces.f32").read_bytes(), dtype="<f4")
-    n, l = int(meta["count"]), int(meta["trace_len"])
-    if raw.size != n * l:
-        raise ValueError(
-            f"traces.f32 holds {raw.size} values, meta.json says {n}x{l}"
-        )
-    return raw.reshape(n, l).copy(), meta
+    meta = read_json(d / "meta.json")
+    shape = (int(meta["count"]), int(meta["trace_len"]))
+    return read_array(d / "traces.f32", "<f4", shape), meta

@@ -36,6 +36,7 @@ __all__ = [
     "EdnnHistory",
     "EdnnDivergence",
     "build_ednn",
+    "ednn_from_vector",
     "ednn_accuracy",
     "train_ednn",
     "predict_weights",
@@ -86,15 +87,19 @@ class EdnnModel:
     def param_vector(self) -> np.ndarray:
         return self.flat.copy()
 
-    def load_param_vector(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.size != self.flat.size:
-            raise ValueError(f"checkpoint holds {vec.size} params, model has {self.flat.size}")
-        self.flat[...] = vec.reshape(-1)
-
 
 def build_ednn(input_len: int, output_shape: tuple[int, int], scale: str, seed: int) -> EdnnModel:
     """Fresh model for ``input_len`` features and a (rows, cols) output."""
+    return _ednn(input_len, output_shape, scale, None, np.random.default_rng(seed))
+
+
+def ednn_from_vector(input_len, output_shape, scale, flat: np.ndarray) -> EdnnModel:
+    """The model whose layers are views of ``flat``, laid out as ``EdnnModel.flat``."""
+    return _ednn(input_len, output_shape, scale, flat, None)
+
+
+def _ednn(input_len, output_shape, scale, flat, rng) -> EdnnModel:
+    # with flat None, each layer draws its init from rng straight into its slice of a new vector
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}, expected one of {sorted(_SCALES)}")
     if input_len < 16:
@@ -116,11 +121,13 @@ def build_ednn(input_len: int, output_shape: tuple[int, int], scale: str, seed: 
         length = ConvTranspose1D.out_len(length, k)
         c_prev = c_out
     layers += [Flatten(), Dense(c_prev * length, rows * cols, None), ReshapeToMatrix(rows, cols)]
-    # each layer draws its init straight into its slice of the one vector
     owners = [layer for layer in layers if isinstance(layer, ParamLayer)]
-    flat = np.empty(sum(layer.size for layer in owners))
-    flat_grad = np.zeros(flat.size)
-    rng = np.random.default_rng(seed)
+    size = sum(layer.size for layer in owners)
+    if flat is None:
+        flat = np.empty(size)
+    elif flat.shape != (size,):
+        raise ValueError(f"checkpoint holds {flat.size} params, model has {size}")
+    flat_grad = np.zeros(size)
     at = 0
     for layer in owners:
         layer.bind(flat[at : at + layer.size], flat_grad[at : at + layer.size], rng)

@@ -16,13 +16,13 @@ reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
+from .artifacts import write_json, write_text
 from .codec import matrix_to_coefficients
 from .datasets import Dataset, gen_synthetic, sample_dsmall, stratified_split
 from .metrics import confusion_matrix, accuracy_from_cm, f1_score, overfit_epoch
@@ -216,8 +216,7 @@ def run_experiment(
 def write_report(out_dir, report: dict, curves: list[dict]) -> None:
     """report.json, summary.csv (task x mode aggregates) and curves.csv."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    write_json(out / "report.json", report)
 
     lines = ["task,seed,mode,variant,epoch,split,accuracy"]
     for row in curves:
@@ -226,7 +225,7 @@ def write_report(out_dir, report: dict, curves: list[dict]) -> None:
                 f"{row['task']},{row['seed']},{row['mode']},{row['variant']},"
                 f"{row['epoch']},{split},{row[split]!r}"
             )
-    (out / "curves.csv").write_text("\n".join(lines) + "\n")
+    write_text(out / "curves.csv", "\n".join(lines) + "\n")
 
     header = ["task", "mode"]
     for key in _AGGREGATE_KEYS:
@@ -241,4 +240,4 @@ def write_report(out_dir, report: dict, curves: list[dict]) -> None:
                 cells += [repr(agg[key]["mean"]), repr(agg[key]["std"])]
             cells += [repr(agg[key]) for key in _OVERFIT_RATE_KEYS]
             lines.append(",".join(cells))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    write_text(out / "summary.csv", "\n".join(lines) + "\n")

@@ -188,15 +188,16 @@ class ParamLayer:
         self.grad_params = [grad_w, grad_b]
 
     def bind(self, flat, flat_grad, rng):
-        """Point ``w``/``b`` and their grads at ``flat``/``flat_grad``, then draw the init.
+        """Point ``w``/``b`` and their grads at ``flat``/``flat_grad``; an ``rng`` draws the init.
 
         Each slice holds ``size`` elements: the weight, then the bias, C order.
         """
         n = math.prod(self.w_shape)
         self.adopt(flat[:n].reshape(self.w_shape), flat[n:],
                    flat_grad[:n].reshape(self.w_shape), flat_grad[n:])
-        for p in self.params:
-            _uniform_fan_in(rng, self.fan_in, p)
+        if rng is not None:
+            for p in self.params:
+                _uniform_fan_in(rng, self.fan_in, p)
 
 
 class Dense(ParamLayer):

@@ -16,7 +16,6 @@ moments start fresh).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .artifacts import read_array, read_json, write_array, write_json
 from .codec import (
     WeightsMatrix,
     coefficients_to_matrix,
@@ -39,6 +39,7 @@ from .ednn import (
     EdnnTrainConfig,
     build_ednn,
     ednn_accuracy,
+    ednn_from_vector,
     predict_weights,
     train_ednn,
 )
@@ -300,64 +301,43 @@ class Translator:
         return predict_weights(self.ednn, self.scaler.apply(pca_transform(self.pca, traces)))
 
     def write(self, run_dir, meta: dict) -> None:
-        """The five files; ``meta`` heads ednn.json, pca.json takes its config_digest."""
-        d = Path(run_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        pca, ednn = self.pca, self.ednn
-        payload = np.concatenate([pca.mean[None, :], pca.components], axis=0)
-        (d / "pca.f64").write_bytes(np.ascontiguousarray(payload, dtype="<f8").tobytes())
-        pca_meta = {
-            "config_digest": meta["config_digest"],
-            "k": int(pca.k),
-            "length": int(pca.length),
-            "eigenvalues": pca.eigenvalues.tolist(),
-        }
-        scaler = {"mean": self.scaler.mean.tolist(), "std": self.scaler.std.tolist()}
-        ednn_meta = {
-            **meta,
-            "scale": ednn.scale,
-            "input_len": ednn.input_len,
-            "rows": ednn.rows,
-            "cols": ednn.cols,
-            "param_count": int(ednn.flat.size),
-        }
-        docs = {"pca.json": pca_meta, "pca_scaler.json": scaler, "ednn.json": ednn_meta}
-        for name, doc in docs.items():
-            (d / name).write_text(json.dumps(doc, indent=2, sort_keys=True))
-        ednn.flat.astype("<f8", copy=False).tofile(d / "ednn.f64")
+        """The five files; ``meta`` heads ednn.json, and its config_digest stamps the rest."""
+        d, pca, sd, ednn = Path(run_dir), self.pca, self.scaler, self.ednn
+        stamp = {"config_digest": meta["config_digest"]}
+        write_array(d / "pca.f64", np.concatenate([pca.mean[None, :], pca.components]), "<f8")
+        pca_meta = {"k": pca.k, "length": pca.length, "eigenvalues": pca.eigenvalues.tolist()}
+        write_json(d / "pca.json", {**stamp, **pca_meta})
+        scaler = {"mean": sd.mean.tolist(), "std": sd.std.tolist()}
+        write_json(d / "pca_scaler.json", {**stamp, **scaler})
+        ednn_meta = {**meta, "scale": ednn.scale, "input_len": ednn.input_len, "rows": ednn.rows,
+                     "cols": ednn.cols, "param_count": ednn.flat.size}
+        write_json(d / "ednn.json", ednn_meta)
+        write_array(d / "ednn.f64", ednn.flat, "<f8")
 
     @classmethod
     def read(cls, run_dir) -> tuple[Translator, dict]:
         """The translator ``write`` left in ``run_dir``, and ednn.json's meta.
 
         Raises ValueError when a binary file's size disagrees with its
-        header, or when pca.json and ednn.json carry different config
-        digests (files of two runs mixed in one directory).
+        header, or when pca.json or pca_scaler.json carries another config
+        digest than ednn.json (files of two runs mixed in one directory).
         """
         d = Path(run_dir)
-        pca_meta = json.loads((d / "pca.json").read_text())
-        meta = json.loads((d / "ednn.json").read_text())
-        if pca_meta.get("config_digest") != meta.get("config_digest"):
-            raise ValueError(
-                f"{d}: pca.json was written under config digest "
-                f"{pca_meta.get('config_digest')}, ednn.json under {meta.get('config_digest')}"
-            )
-        k, length = int(pca_meta["k"]), int(pca_meta["length"])
-        raw = np.frombuffer((d / "pca.f64").read_bytes(), dtype="<f8")
-        if raw.size != (k + 1) * length:
-            raise ValueError(f"pca.f64 holds {raw.size} values, pca.json says {(k + 1) * length}")
-        block = raw.reshape(k + 1, length)
-        pca = PcaModel(
-            mean=block[0].copy(),
-            components=block[1:].copy(),
-            eigenvalues=np.asarray(pca_meta["eigenvalues"], dtype=np.float64),
-        )
-        sd = json.loads((d / "pca_scaler.json").read_text())
+        names = ("ednn.json", "pca.json", "pca_scaler.json")
+        meta, pca_meta, sd = (read_json(d / name) for name in names)
+        for name, doc in (("pca.json", pca_meta), ("pca_scaler.json", sd)):
+            if doc.get("config_digest") != meta.get("config_digest"):
+                raise ValueError(
+                    f"{d / name}: written under config digest {doc.get('config_digest')}, "
+                    f"ednn.json under {meta.get('config_digest')}"
+                )
+        block = read_array(d / "pca.f64", "<f8", (int(pca_meta["k"]) + 1, int(pca_meta["length"])))
+        eigenvalues = np.asarray(pca_meta["eigenvalues"], dtype=np.float64)
+        pca = PcaModel(mean=block[0], components=block[1:], eigenvalues=eigenvalues)
         scaler = Standardizer(np.asarray(sd["mean"], np.float64), np.asarray(sd["std"], np.float64))
-        ednn = build_ednn(
-            int(meta["input_len"]), (int(meta["rows"]), int(meta["cols"])), meta["scale"], seed=0
-        )
-        ednn.load_param_vector(np.frombuffer((d / "ednn.f64").read_bytes(), dtype="<f8"))
+        flat = read_array(d / "ednn.f64", "<f8", (int(meta["param_count"]),))
+        shape = (int(meta["rows"]), int(meta["cols"]))
+        ednn = ednn_from_vector(int(meta["input_len"]), shape, meta["scale"], flat)
         return cls(ednn=ednn, pca=pca, scaler=scaler), meta
 
 
@@ -529,13 +509,13 @@ def load_phase1(run_dir, config_digest: str) -> Phase1Result:
 
     Pair traces are not reloaded; the result carries everything phase 2
     needs (the translator and the fixed input) plus the recorded history.
-    Raises ValueError when fixed_input.json, pca.json or ednn.json was
+    Raises ValueError when fixed_input.json or any translator file was
     written under another config than the one with ``config_digest``.
     """
     run = Path(run_dir)
-    fixed_raw = json.loads((run / "fixed_input.json").read_text())
+    fixed_raw = read_json(run / "fixed_input.json")
     translator, meta = Translator.read(run)
-    # Translator.read has matched pca.json's stamp to ednn.json's
+    # Translator.read has matched the other translator files' stamps to ednn.json's
     stamps = {
         "fixed_input.json": fixed_raw.get("config_digest"),
         "ednn.json": meta.get("config_digest"),
@@ -559,19 +539,8 @@ def load_phase1(run_dir, config_digest: str) -> Phase1Result:
 
 
 def write_fixed_input(out_dir, fixed: FixedInput, config_digest: str) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "fixed_input.json").write_text(
-        json.dumps(
-            {
-                "values": fixed.values.tolist(),
-                "digest": fixed.digest,
-                "config_digest": config_digest,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    doc = {"values": fixed.values.tolist(), "digest": fixed.digest, "config_digest": config_digest}
+    write_json(Path(out_dir) / "fixed_input.json", doc)
 
 
 def write_pairs(out_dir, pairs: TracePairs, config_digest: str, splits=None) -> None:
@@ -586,21 +555,10 @@ def write_pairs(out_dir, pairs: TracePairs, config_digest: str, splits=None) -> 
     if splits is not None:
         meta["splits"] = splits
     write_trace_container(out, pairs.traces, meta)
-    mats = np.ascontiguousarray(pairs.matrices, dtype="<f4")
-    (out / "matrices.f32").write_bytes(mats.tobytes())
-    (out / "matrices.json").write_text(
-        json.dumps(
-            {
-                "count": int(mats.shape[0]),
-                "rows": int(mats.shape[1]),
-                "cols": int(mats.shape[2]),
-                "dtype": "<f4",
-                "config_digest": config_digest,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    write_array(out / "matrices.f32", pairs.matrices, "<f4")
+    count, rows, cols = pairs.matrices.shape
+    header = {"count": count, "rows": rows, "cols": cols, "dtype": "<f4"}
+    write_json(out / "matrices.json", {**header, "config_digest": config_digest})
 
 
 def persist_phase1(out_dir, result: Phase1Result, config_digest: str) -> None:

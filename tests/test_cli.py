@@ -393,7 +393,7 @@ def _extract_copy_of_run(cli_root, tiny_cfg, run_dir, victim_path, name, edit):
     return rc
 
 
-@pytest.mark.parametrize("name", ["pca.json", "fixed_input.json"])
+@pytest.mark.parametrize("name", ["pca.json", "pca_scaler.json", "fixed_input.json"])
 def test_extract_refuses_run_dir_with_a_file_of_another_config(
     cli_root, tiny_cfg, run_dir, victim_path, tiny_digest, name, capsys
 ):
@@ -406,6 +406,21 @@ def test_extract_refuses_run_dir_with_a_file_of_another_config(
     err = capsys.readouterr().err
     assert "stage=extract" in err and name in err
     assert tiny_digest in err and "0123456789abcdef" in err
+
+
+def test_extract_refuses_run_dir_written_before_the_scaler_stamp(
+    cli_root, tiny_cfg, run_dir, victim_path, tiny_digest, capsys
+):
+    def unstamp(run):
+        doc = json.loads((run / "pca_scaler.json").read_text())
+        del doc["config_digest"]
+        (run / "pca_scaler.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+    rc = _extract_copy_of_run(cli_root, tiny_cfg, run_dir, victim_path, "unstamped", unstamp)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage=extract" in err and "pca_scaler.json" in err
+    assert "config digest None" in err and tiny_digest in err
 
 
 def test_extract_run_dir_without_scaler_exits_two(
@@ -443,6 +458,23 @@ def test_extract_length_mismatch_exits_two_naming_topology(
     assert "stage=extract" in err
     assert "violates topology" in err
     assert "(9, 4, 1)" in err
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_extract_trace_index_outside_the_container_exits_two(
+    cli_root, tiny_cfg, run_dir, index, capsys
+):
+    tr_dir = cli_root / f"trace_index_{index}"
+    write_trace_container(tr_dir, np.zeros((2, TRACE_LEN)), {"rng_seed": 0})
+    out = cli_root / f"extract_index_{index}"
+    rc = main(
+        ["extract", "--config", tiny_cfg, "--run", str(run_dir), "--trace", str(tr_dir),
+         "--trace-index", str(index), "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage=extract" in err and f"--trace-index {index}" in err and "2 rows" in err
+    assert not out.exists()
 
 
 def test_extract_needs_exactly_one_source(cli_root, tiny_cfg, run_dir, victim_path, capsys):
@@ -582,6 +614,7 @@ def test_experiment_tiny_end_to_end(cli_root, tiny_cfg, tiny_digest, capsys):
     task = report["tasks"]["binary-narrow"]
     assert set(task["modes"]) == {"balanced"}
     assert len(task["modes"]["balanced"]["per_seed"]) == 2
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_no_writes_outside_out(cli_root, tiny_cfg, tmp_path, monkeypatch):
@@ -605,3 +638,4 @@ def test_no_writes_outside_out(cli_root, tiny_cfg, tmp_path, monkeypatch):
     assert rc == 0
     assert snapshot() == before
     assert (out / "fixed_input.json").exists()
+    assert not list(out.rglob("*.tmp"))

@@ -9,6 +9,7 @@ from traceweights.ednn import (
     EdnnTrainConfig,
     build_ednn,
     ednn_accuracy,
+    ednn_from_vector,
     predict_weights,
     train_ednn,
 )
@@ -234,14 +235,14 @@ def test_predict_weights_shapes_and_determinism():
 
 def test_checkpoint_round_trip():
     model = build_ednn(18, (2, 3), "desk", seed=23)
-    back = build_ednn(18, (2, 3), "desk", seed=0)
-    back.load_param_vector(model.param_vector())
+    back = ednn_from_vector(18, (2, 3), "desk", model.param_vector())
     assert np.array_equal(back.param_vector(), model.param_vector())
     assert not np.shares_memory(model.param_vector(), model.flat)
     x = np.random.default_rng(24).normal(size=18)
     assert np.array_equal(predict_weights(back, x), predict_weights(model, x))
-    with pytest.raises(ValueError):
-        back.load_param_vector(np.zeros(5))
+    for size in (5, model.flat.size + 1):
+        with pytest.raises(ValueError, match="params"):
+            ednn_from_vector(18, (2, 3), "desk", np.zeros(size))
 
 
 def test_training_twice_from_one_seed_is_byte_identical():
@@ -302,12 +303,11 @@ def test_built_and_read_models_keep_layer_params_as_views(tmp_path):
     assert not np.shares_memory(model.param_vector(), model.flat)
 
 
-def test_load_param_vector_writes_in_place():
-    model = build_ednn(16, (2, 2), "desk", seed=30)
-    flat = model.flat
-    vec = np.random.default_rng(31).normal(size=flat.size)
-    model.load_param_vector(vec)
-    assert model.flat is flat and np.array_equal(flat, vec)
+def test_ednn_from_vector_lays_its_layers_over_the_vector():
+    size = build_ednn(16, (2, 2), "desk", seed=30).flat.size
+    vec = np.random.default_rng(31).normal(size=size)
+    model = ednn_from_vector(16, (2, 2), "desk", vec)
+    assert model.flat is vec and np.array_equal(vec, np.random.default_rng(31).normal(size=size))
     _assert_packed(model)
 
 
