@@ -7,13 +7,16 @@ Builds the desk-width EDNN the ``translator`` benchmark trains (256 PCA
 features in, a 41x20 matrix out), then runs ``--repeats`` training
 forward+backward passes on one fixed batch of ``--batch`` random inputs.
 Each pass feeds every layer what the layer before it returned, as
-``EdnnModel.forward``/``backward`` do, and times each parametric layer's
-forward and backward alone.  The ReLU, Dropout and reshape layers are
-timed together as ``elementwise``.  BLAS is pinned to one thread before
+``EdnnModel.forward``/``backward`` do (inputs and targets in the model's
+dtype, and only the parameter gradients of the first layer), and times
+each parametric layer's forward and backward alone.  The ReLU, Dropout
+and reshape layers are timed together as ``elementwise``.  BLAS is pinned to one thread before
 NumPy loads.  The JSON holds the median seconds per layer, beside them
 the first and third quartiles (``*_quartiles_s``) so a reader can see
 how far the repeats spread, and the GFLOP/s the medians give, counting
-a multiply-add as 2 FLOPs and a backward as twice its forward.
+a multiply-add as 2 FLOPs and a backward as twice its forward (the
+first Dense's backward, which skips the input gradient, as its forward),
+and the parameters' ``dtype``.
 """
 
 from __future__ import annotations
@@ -94,9 +97,12 @@ def one_pass(model, x, y, rng, times):
         a = layer.forward(a, train=True, rng=rng)
         times[label]["fwd"][-1] += perf_counter() - t0
     d = (2.0 / len(x)) * (a - y)
-    for label, layer in zip(reversed(labels), reversed(model.layers)):
+    for i, (label, layer) in reversed(list(enumerate(zip(labels, model.layers)))):
         t0 = perf_counter()
-        d = layer.backward(d)
+        if i:
+            d = layer.backward(d)
+        else:  # as nn.backprop: nothing reads the first layer's input gradient
+            layer.backward_params(d)
         times[label]["bwd"][-1] += perf_counter() - t0
     return shapes
 
@@ -114,8 +120,9 @@ def main():
 
     data = np.random.default_rng(args.seed)
     model = build_ednn(INPUT_LEN, OUTPUT_SHAPE, "desk", seed=args.seed)
-    x = data.normal(size=(args.batch, INPUT_LEN))
-    y = data.uniform(-1.0, 1.0, size=(args.batch,) + OUTPUT_SHAPE)
+    dtype = model.flat.dtype
+    x = data.normal(size=(args.batch, INPUT_LEN)).astype(dtype)
+    y = data.uniform(-1.0, 1.0, size=(args.batch,) + OUTPUT_SHAPE).astype(dtype)
     rng = np.random.default_rng(args.seed + 1)
     times = {label: {"fwd": [], "bwd": []} for label in LABELS + ("elementwise",)}
     totals = []
@@ -141,13 +148,14 @@ def main():
             "fwd_quartiles_s": quartiles(times[label]["fwd"][keep]),
             "bwd_quartiles_s": quartiles(times[label]["bwd"][keep]),
             "fwd_gflops_per_s": flops / fwd / 1e9,
-            "bwd_gflops_per_s": 2 * flops / bwd / 1e9,
+            "bwd_gflops_per_s": (flops if label == "dense_in" else 2 * flops) / bwd / 1e9,
             "flops_fwd": flops,
         }
     report = {
         "what": "desk EDNN per-layer training forward/backward, seconds per batch: "
                 "median and first/third quartiles over the repeats",
         "batch": args.batch,
+        "dtype": str(dtype),
         "input_len": INPUT_LEN,
         "output_shape": list(OUTPUT_SHAPE),
         "seed": args.seed,

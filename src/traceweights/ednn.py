@@ -6,6 +6,12 @@ followed by dropout 0.5 during training), and a final dense layer emits
 the flattened matrix image.  All activations are relu; the output is
 linear.  The "paper" scale uses 256 dense units and 256/128/64 + 256/128
 channels; the "desk" scale halves every width.
+
+The network holds, trains and runs its parameters in float32.  The traces
+it reads (through PCA) and the matrices it learns are float32 values, a
+12-bit ADC's samples and the pair containers' storage, so float64
+arithmetic would add cost and no information.  ``forward`` and
+``train_ednn`` cast what they are given; PCA and standardizing stay float64.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .nn import (
     ReLU,
     ReshapeToMatrix,
     ReshapeToSignal,
+    backprop,
     mse_loss,
 )
 
@@ -49,6 +56,8 @@ _SCALES = {
 _CONV_KERNELS = (4, 4, 4)
 _DECONV_KERNELS = (5, 4)
 _DROPOUT = 0.5
+# the dtype of the parameters, their gradients, and every activation
+_DTYPE = np.float32
 
 
 class EdnnDivergence(NumericalError):
@@ -61,8 +70,8 @@ class EdnnDivergence(NumericalError):
 class EdnnModel:
     """Layers whose ``w``/``b`` and grads are views into ``flat``/``flat_grad``.
 
-    Both vectors hold the parameters layer by layer, weight before bias,
-    each in C order.
+    Both vectors are float32 and hold the parameters layer by layer, weight
+    before bias, each in C order.
     """
 
     layers: list
@@ -74,15 +83,14 @@ class EdnnModel:
     flat_grad: np.ndarray = field(repr=False)
 
     def forward(self, x, train=False, rng=None):
-        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        a = np.atleast_2d(np.asarray(x, dtype=_DTYPE))
         for layer in self.layers:
             a = layer.forward(a, train=train, rng=rng)
         return a
 
     def backward(self, dout):
-        for layer in reversed(self.layers):
-            dout = layer.backward(dout)
-        return dout
+        """Writes ``flat_grad`` for the loss gradient ``dout`` of the last forward."""
+        backprop(self.layers, dout)
 
     def param_vector(self) -> np.ndarray:
         return self.flat.copy()
@@ -94,7 +102,10 @@ def build_ednn(input_len: int, output_shape: tuple[int, int], scale: str, seed: 
 
 
 def ednn_from_vector(input_len, output_shape, scale, flat: np.ndarray) -> EdnnModel:
-    """The model whose layers are views of ``flat``, laid out as ``EdnnModel.flat``."""
+    """The model whose layers are views of ``flat``, laid out as ``EdnnModel.flat``.
+
+    ``flat`` must be float32; ValueError rather than a silent copy otherwise.
+    """
     return _ednn(input_len, output_shape, scale, flat, None)
 
 
@@ -124,10 +135,12 @@ def _ednn(input_len, output_shape, scale, flat, rng) -> EdnnModel:
     owners = [layer for layer in layers if isinstance(layer, ParamLayer)]
     size = sum(layer.size for layer in owners)
     if flat is None:
-        flat = np.empty(size)
+        flat = np.empty(size, _DTYPE)
     elif flat.shape != (size,):
         raise ValueError(f"checkpoint holds {flat.size} params, model has {size}")
-    flat_grad = np.zeros(size)
+    elif flat.dtype != _DTYPE:
+        raise ValueError(f"checkpoint params are {flat.dtype}, the model's are {np.dtype(_DTYPE)}")
+    flat_grad = np.zeros(size, _DTYPE)
     at = 0
     for layer in owners:
         layer.bind(flat[at : at + layer.size], flat_grad[at : at + layer.size], rng)
@@ -185,9 +198,10 @@ def train_ednn(
 
     Passing ``opt`` keeps optimizer moments across calls (warm restarts).
     Raises EdnnDivergence with the epoch index if the loss goes non-finite.
+    Pairs are cast to float32 once, here.
     """
-    x_train = np.asarray(x_train, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.float64)
+    x_train = np.asarray(x_train, dtype=_DTYPE)
+    y_train = np.asarray(y_train, dtype=_DTYPE)
     if x_train.shape[0] != y_train.shape[0] or x_train.shape[0] == 0:
         raise ValueError("training pairs are empty or misaligned")
     rng = np.random.default_rng(cfg.seed)

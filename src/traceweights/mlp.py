@@ -19,6 +19,7 @@ from .nn import (
     Dense,
     Dropout,
     ReLU,
+    backprop,
     sigmoid,
     softmax,
     cross_entropy_from_probs,
@@ -143,8 +144,7 @@ def _loss_and_grads(layers, x, labels, rng=None):
         dz = (out - labels[..., None]) / n
     else:
         dz = (out - (labels[..., None] == np.arange(out.shape[-1]))) / n
-    for layer in reversed(layers):
-        dz = layer.backward(dz)
+    backprop(layers, dz)
     return loss_val
 
 

@@ -1,12 +1,14 @@
 """Minimal neural-network engine on numpy: the one set of layers every model runs on.
 
-Float64 throughout.  Layers cache what their backward pass needs, so the
-usage pattern is forward -> backward -> read ``grad_params``.  There is no
-autodiff: each layer kind carries a hand-written backward, checked against
-central finite differences in the test suite.  The EDNN is built from
-these layers, and so is every MLP (see ``mlp.py``): ``Dense`` works on the
-last two axes, so one layer whose weight has a leading stack axis trains
-S same-topology models in step on an (S, n, f) batch.
+Every layer computes in the dtype of its own parameters: the EDNN holds
+float32, every MLP float64.  Layers cache what their backward pass needs,
+so the usage pattern is forward -> backward -> read ``grad_params``.
+There is no autodiff: each layer kind carries a hand-written backward,
+checked against central finite differences in the test suite.  The EDNN
+is built from these layers, and so is every MLP (see ``mlp.py``):
+``Dense`` works on the last two axes, so one layer whose weight has a
+leading stack axis trains S same-topology models in step on an (S, n, f)
+batch.
 
 Signal layout.  Conv1D and ConvTranspose1D take and return (n, c, l)
 arrays but run the whole batch as one channel-major signal: a
@@ -34,6 +36,7 @@ __all__ = [
     "mse_loss",
     "cross_entropy_from_probs",
     "Adam",
+    "backprop",
     "ParamLayer",
     "Dense",
     "Conv1D",
@@ -52,13 +55,9 @@ def relu(x):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0, else e^x / (1 + e^x)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x):
@@ -73,12 +72,11 @@ def mse_loss(pred, target):
 
     Returns (loss, dloss/dpred).  Entries beyond the first axis are
     summed, so a (n, r, c) prediction contributes the full Frobenius
-    square per sample.
+    square per sample.  The gradient has the prediction's dtype.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    pred = np.asarray(pred)
     n = pred.shape[0]
-    diff = pred - target
+    diff = pred - np.asarray(target, dtype=pred.dtype)
     loss = float(np.sum(diff * diff) / n)
     return loss, (2.0 / n) * diff
 
@@ -95,7 +93,7 @@ def cross_entropy_from_probs(probs, labels):
         p = np.where(labels == 1, probs, 1.0 - probs)[..., 0]
     else:
         p = probs[labels == np.arange(probs.shape[-1])].reshape(labels.shape[:-1])
-    return -np.mean(np.log(np.clip(p, 1e-12, None)), axis=-1)
+    return -np.add.reduce(np.log(np.maximum(p, 1e-12)), axis=-1) / p.shape[-1]
 
 
 # Elements per Adam block: the block's slices of p, g, m, v and the two
@@ -110,8 +108,9 @@ class Adam:
     ``lr`` is a plain attribute so schedules can mutate it between steps.
     Each array is stepped in blocks of ``_ADAM_BLOCK`` elements through two
     scratch buffers, so a step allocates nothing; per element the arithmetic
-    and its order are those of the formula above.  Parameter arrays must be
-    C-contiguous, since the update writes through a flat view of each.
+    and its order are those of the formula above, in the parameters' dtype.
+    Parameter arrays must be C-contiguous, since the update writes through a
+    flat view of each.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -122,11 +121,12 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(p.size) for p in params]
-        self.v = [np.zeros(p.size) for p in params]
+        self.m = [np.zeros(p.size, p.dtype) for p in params]
+        self.v = [np.zeros(p.size, p.dtype) for p in params]
         width = min(_ADAM_BLOCK, max((p.size for p in params), default=0))
-        self._a = np.empty(width)
-        self._b = np.empty(width)
+        dtype = np.result_type(*params) if params else np.float64
+        self._a = np.empty(width, dtype)
+        self._b = np.empty(width, dtype)
 
     def step(self, params, grads):
         self.t += 1
@@ -158,12 +158,16 @@ class Adam:
 def _uniform_fan_in(rng, fan_in, out):
     """Fill ``out`` in place with the doubles ``rng.uniform(-bound, bound)`` gives.
 
-    bound = sqrt(1/fan_in).  ``out`` must be C-contiguous.
+    bound = sqrt(1/fan_in).  ``out`` must be C-contiguous.  A float32
+    ``out`` gets the same doubles, rounded to nearest.
     """
     bound = np.sqrt(1.0 / fan_in)
-    rng.random(out=out)
-    out *= bound - -bound
-    out += -bound
+    draws = out if out.dtype == np.float64 else np.empty(out.shape)
+    rng.random(out=draws)
+    draws *= bound - -bound
+    draws += -bound
+    if draws is not out:
+        out[...] = draws
 
 
 class ParamLayer:
@@ -219,28 +223,44 @@ class Dense(ParamLayer):
         return z
 
     def backward(self, dout):
+        self.backward_params(dout)
+        return np.matmul(dout, self.w.swapaxes(-1, -2))
+
+    def backward_params(self, dout):
+        """``backward`` without the input gradient: writes ``grad_params`` only."""
         np.matmul(self._x.swapaxes(-1, -2), dout, out=self.grad_params[0])
         np.add.reduce(dout, axis=-2, out=self.grad_params[1])  # np.sum minus its wrapper
-        return np.matmul(dout, self.w.swapaxes(-1, -2))
+
+
+def backprop(layers, dout):
+    """Every layer's backward pass, last layer first, for the loss gradient ``dout``.
+
+    ``layers[0]`` is a Dense whose input is the network's input, so only its
+    parameter gradients are computed: nothing reads the input gradient.
+    """
+    for layer in reversed(layers[1:]):
+        dout = layer.backward(dout)
+    layers[0].backward_params(dout)
 
 
 def _buffer_of(x):
     """The zero-tailed channel-major buffer that ``x`` views, and its pitch.
 
-    ``x`` (n, c, l) views a buffer when one C-contiguous float64 array,
-    read as (c, n * pitch) with pitch >= l, holds x[i, ch, t] at row ch,
-    column i * pitch + t, and its other columns (each sample's tail) are
-    zero.  Returns ``(buffer, pitch)``, or None when ``x`` is anything else.
+    ``x`` (n, c, l) views a buffer when one C-contiguous array of its
+    dtype, read as (c, n * pitch) with pitch >= l, holds x[i, ch, t] at row
+    ch, column i * pitch + t, and its other columns (each sample's tail)
+    are zero.  Returns ``(buffer, pitch)``, or None when ``x`` is anything
+    else.
     """
     n, c, l = x.shape
     base = x if x.base is None else x.base
+    item = x.itemsize
     s_n, s_c, s_l = x.strides
-    if (not isinstance(base, np.ndarray) or x.dtype != np.float64
-            or base.dtype != np.float64 or not base.flags.c_contiguous
-            or s_l != 8 or s_n % 8 or s_n < 8 * l):
+    if (not isinstance(base, np.ndarray) or base.dtype != x.dtype
+            or not base.flags.c_contiguous or s_l != item or s_n % item or s_n < item * l):
         return None
-    pitch = s_n // 8
-    if (c > 1 and s_c != 8 * n * pitch) or base.size != c * n * pitch:
+    pitch = s_n // item
+    if (c > 1 and s_c != item * n * pitch) or base.size != c * n * pitch:
         return None
     if x.__array_interface__["data"][0] != base.__array_interface__["data"][0]:
         return None
@@ -250,23 +270,23 @@ def _buffer_of(x):
     return buf, pitch
 
 
-def _signal(x, step=1, pitch=None, at_least=0):
-    """``x`` (n, c, l) as a zero-tailed channel-major buffer; returns (buffer, pitch).
+def _signal(x, dtype, step=1, pitch=None, at_least=0):
+    """``x`` (n, c, l) as a zero-tailed channel-major ``dtype`` buffer; returns (buffer, pitch).
 
     Sample i's position t sits in column i * pitch + t * step, and every
     other column is zero.  The pitch is ``pitch`` if given, else any value
     >= ``at_least`` and >= the span (l - 1) * step + 1.  With step 1 the
-    buffer ``x`` already views is used when its pitch qualifies; otherwise
-    ``x`` is copied into a new one.
+    buffer ``x`` already views is used when its dtype and pitch qualify;
+    otherwise ``x`` is copied into a new one.
     """
     n, c, l = x.shape
     span = (l - 1) * step + 1
-    if step == 1:
+    if step == 1 and x.dtype == dtype:
         found = _buffer_of(x)
         if found is not None and (found[1] == pitch if pitch else found[1] >= at_least):
             return found
     pitch = pitch or max(span, at_least)
-    buf = np.zeros((c, n * pitch))
+    buf = np.zeros((c, n * pitch), dtype)
     _view(buf, n, span, step)[...] = x
     return buf, pitch
 
@@ -294,11 +314,11 @@ def _tap_sum(taps, x, direction):
 
     ``taps`` is (kernel, rows, depth), ``x`` is (depth, cols) and
     ``direction`` is +1 (correlation) or -1 (convolution, its adjoint);
-    columns of ``x`` outside [0, cols) read as zero.  The shifts are done
-    on whichever side has fewer rows: with depth < rows, the kernel
-    shifted copies of ``x`` are stacked along the contraction for one
-    product; otherwise each tap is one product whose result is added into
-    ``out`` at its shift.
+    columns of ``x`` outside [0, cols) read as zero; ``out`` has the dtype
+    of ``taps``.  The shifts are done on whichever side has fewer rows:
+    with depth < rows, the kernel shifted copies of ``x`` are stacked along
+    the contraction for one product; otherwise each tap is one product
+    whose result is added into ``out`` at its shift.
     """
     kernel, rows, depth = taps.shape
     cols = x.shape[1]
@@ -308,16 +328,16 @@ def _tap_sum(taps, x, direction):
             return slice(0, cols - k), slice(k, cols)
         return slice(k, cols), slice(0, cols - k)
 
-    out = np.empty((rows, cols))
+    out = np.empty((rows, cols), taps.dtype)
     if depth < rows:
-        stacked = np.zeros((kernel, depth, cols))
+        stacked = np.zeros((kernel, depth, cols), taps.dtype)
         for k in range(kernel):
             at, src = shifted(k)
             stacked[k, :, at] = x[:, src]
         flat_taps = taps.transpose(1, 0, 2).reshape(rows, kernel * depth)
         return np.matmul(flat_taps, stacked.reshape(kernel * depth, cols), out=out)
     np.matmul(taps[0], x, out=out)
-    tmp = np.empty((rows, cols))
+    tmp = np.empty((rows, cols), taps.dtype)
     for k in range(1, kernel):
         at, src = shifted(k)
         part = np.matmul(taps[k], x[:, src], out=tmp[:, : cols - k])
@@ -328,7 +348,7 @@ def _tap_sum(taps, x, direction):
 def _tap_products(a, b, kernel):
     """out[k] = sum_j a[:, j] b[:, j + k]^T for each tap k: the weight gradient."""
     cols = a.shape[1]
-    out = np.empty((kernel, a.shape[0], b.shape[0]))
+    out = np.empty((kernel, a.shape[0], b.shape[0]), a.dtype)
     for k in range(kernel):
         np.matmul(a[:, : cols - k], b[:, k:].T, out=out[k])
     return out
@@ -360,7 +380,7 @@ class Conv1D(ParamLayer):
     def forward(self, x, train=False, rng=None):
         n, _, l = x.shape
         full = self.out_len(l, self.kernel)
-        xb, pitch = _signal(x)
+        xb, pitch = _signal(x, self.w.dtype)
         self._x, self._n, self._pitch, self._in_len = xb, n, pitch, l
         out = _tap_sum(np.moveaxis(self.w, 2, 0), xb, +1)
         out += self.b[:, None]
@@ -369,7 +389,7 @@ class Conv1D(ParamLayer):
 
     def backward(self, dout):
         n, pitch, kernel = self._n, self._pitch, self.kernel
-        dy, _ = _signal(dout, self.stride, pitch=pitch)
+        dy, _ = _signal(dout, self.w.dtype, self.stride, pitch=pitch)
         self.grad_params[0][...] = np.moveaxis(_tap_products(dy, self._x, kernel), 0, 2)
         self.grad_params[1][...] = dy.sum(axis=1)
         dx = _tap_sum(np.moveaxis(self.w, 2, 0).transpose(0, 2, 1), dy, -1)
@@ -400,7 +420,7 @@ class ConvTranspose1D(ParamLayer):
     def forward(self, x, train=False, rng=None):
         n, _, l = x.shape
         l_out = self.out_len(l, self.kernel, self.stride)
-        xb, pitch = _signal(x, self.stride, at_least=l_out)
+        xb, pitch = _signal(x, self.w.dtype, self.stride, at_least=l_out)
         self._x, self._n, self._pitch, self._in_len = xb, n, pitch, l
         out = _tap_sum(np.moveaxis(self.w, 2, 0).transpose(0, 2, 1), xb, -1)
         out += self.b[:, None]
@@ -409,7 +429,7 @@ class ConvTranspose1D(ParamLayer):
 
     def backward(self, dout):
         n, kernel = self._n, self.kernel
-        dy, _ = _signal(dout, pitch=self._pitch)
+        dy, _ = _signal(dout, self.w.dtype, pitch=self._pitch)
         self.grad_params[0][...] = np.moveaxis(_tap_products(self._x, dy, kernel), 0, 2)
         self.grad_params[1][...] = dy.sum(axis=1)
         dx = _tap_sum(np.moveaxis(self.w, 2, 0), dy, +1)
@@ -449,8 +469,9 @@ class ReLU:
 class Dropout:
     """Inverted dropout layer, in place on its input; identity when not training.
 
-    The keep decisions come from ``rng.random(x.shape)``, drawn in
-    (n, c, l) order whatever the input's memory layout.
+    The keep decisions come from ``rng.random(x.shape)``, float64 draws in
+    (n, c, l) order whatever the input's memory layout or dtype; the mask
+    has the input's dtype.
     """
 
     params: list = []
@@ -467,7 +488,9 @@ class Dropout:
             self._mask = None
             return x
         draws = rng.random(x.shape)
-        self._mask = np.multiply(draws >= self.rate, 1.0 / (1.0 - self.rate), out=draws)
+        mask = draws if x.dtype == draws.dtype else np.empty(x.shape, x.dtype)
+        scale = x.dtype.type(1.0 / (1.0 - self.rate))  # so a float32 mask takes a float32 loop
+        self._mask = np.multiply(draws >= self.rate, scale, out=mask)
         return np.multiply(x, self._mask, out=x)
 
     def backward(self, dout):

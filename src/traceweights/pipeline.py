@@ -255,8 +255,9 @@ class Translator:
     The EDNN keeps its parameters across ``fit`` calls (warm restarts);
     the PCA and standardizer are refit by each call.  ``write`` and
     ``read`` own the run-directory files pca.f64 (mean then components,
-    little-endian float64), pca.json, pca_scaler.json, ednn.f64 (flat
-    parameters, layer by layer, weight before bias, C order) and ednn.json.
+    little-endian float64), pca.json, pca_scaler.json, ednn.f32 (the
+    EDNN's float32 parameters, little-endian, layer by layer, weight before
+    bias, C order) and ednn.json.
     """
 
     ednn: EdnnModel
@@ -312,7 +313,7 @@ class Translator:
         ednn_meta = {**meta, "scale": ednn.scale, "input_len": ednn.input_len, "rows": ednn.rows,
                      "cols": ednn.cols, "param_count": ednn.flat.size}
         write_json(d / "ednn.json", ednn_meta)
-        write_array(d / "ednn.f64", ednn.flat, "<f8")
+        write_array(d / "ednn.f32", ednn.flat, "<f4")
 
     @classmethod
     def read(cls, run_dir) -> tuple[Translator, dict]:
@@ -335,7 +336,7 @@ class Translator:
         eigenvalues = np.asarray(pca_meta["eigenvalues"], dtype=np.float64)
         pca = PcaModel(mean=block[0], components=block[1:], eigenvalues=eigenvalues)
         scaler = Standardizer(np.asarray(sd["mean"], np.float64), np.asarray(sd["std"], np.float64))
-        flat = read_array(d / "ednn.f64", "<f8", (int(meta["param_count"]),))
+        flat = read_array(d / "ednn.f32", "<f4", (int(meta["param_count"]),))
         shape = (int(meta["rows"]), int(meta["cols"]))
         ednn = ednn_from_vector(int(meta["input_len"]), shape, meta["scale"], flat)
         return cls(ednn=ednn, pca=pca, scaler=scaler), meta

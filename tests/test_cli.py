@@ -435,6 +435,21 @@ def test_extract_run_dir_without_scaler_exits_two(
     assert "stage=extract" in err and "pca_scaler.json" in err
 
 
+def test_extract_run_dir_with_only_a_float64_checkpoint_exits_two(
+    cli_root, tiny_cfg, run_dir, victim_path, capsys
+):
+    def to_float64(run):
+        # the layout run directories had before the EDNN ran in float32
+        flat = np.fromfile(run / "ednn.f32", dtype="<f4")
+        flat.astype("<f8").tofile(run / "ednn.f64")
+        (run / "ednn.f32").unlink()
+
+    rc = _extract_copy_of_run(cli_root, tiny_cfg, run_dir, victim_path, "f64", to_float64)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage=extract" in err and "ednn.f32" in err
+
+
 def test_extract_length_mismatch_exits_two_naming_topology(
     cli_root, tiny_cfg, run_dir, capsys
 ):

@@ -13,7 +13,7 @@ from traceweights.ednn import (
     predict_weights,
     train_ednn,
 )
-from traceweights.nn import Adam, Conv1D, ConvTranspose1D, Dense, Dropout
+from traceweights.nn import Adam, Conv1D, ConvTranspose1D, Dense, Dropout, _buffer_of
 from traceweights.pipeline import Translator
 from traceweights.reduction import Standardizer, pca_fit, pca_transform
 
@@ -90,7 +90,9 @@ def test_build_draws_each_layer_in_order_as_rng_uniform():
         ref += [rng.uniform(-bound, bound, layer.w.shape).ravel(),
                 rng.uniform(-bound, bound, layer.b.shape)]
     assert len(ref) == 14
-    assert np.array_equal(model.flat, np.concatenate(ref))
+    # the float32 parameters are the float64 uniforms rounded to nearest
+    assert model.flat.dtype == model.flat_grad.dtype == np.float32
+    assert np.concatenate(ref).astype(np.float32).tobytes() == model.flat.tobytes()
     assert model.flat_grad.shape == model.flat.shape and not model.flat_grad.any()
 
 
@@ -168,12 +170,12 @@ def test_gate_never_reports_success_below_theta():
 
 
 def test_divergence_aborts_with_epoch_index():
-    # inputs large enough that the squared loss overflows float64
+    # inputs large enough that the float32 cast overflows and the loss is not finite
     rng = np.random.default_rng(14)
     x = rng.normal(size=(6, 16)) * 1e180
     y = rng.normal(size=(6, 2, 2))
     model = build_ednn(16, (2, 2), "desk", seed=15)
-    with pytest.raises(EdnnDivergence) as err, np.errstate(over="ignore"):
+    with pytest.raises(EdnnDivergence) as err, np.errstate(over="ignore", invalid="ignore"):
         train_ednn(
             model, x, y, EdnnTrainConfig(epochs=5, batch_size=6, seed=16),
             theta=2.0,
@@ -224,12 +226,13 @@ def test_predict_weights_shapes_and_determinism():
     batch = rng.normal(size=(4, 20))
     a = predict_weights(model, one)
     b = predict_weights(model, one)
-    assert a.shape == (3, 3)
+    assert a.shape == (3, 3) and a.dtype == np.float32
     assert np.array_equal(a, b)
     out = predict_weights(model, batch)
     assert out.shape == (4, 3, 3)
-    # batched and single GEMM paths agree to rounding, not bitwise
-    assert np.allclose(out[0], predict_weights(model, batch[0]), atol=1e-12)
+    # batched and single GEMM paths agree to float32 rounding, not bitwise
+    tol = 64 * np.finfo(np.float32).eps * np.abs(out).max()
+    assert np.allclose(out[0], predict_weights(model, batch[0]), rtol=0, atol=tol)
     assert np.all(np.isfinite(out))
 
 
@@ -287,7 +290,7 @@ def _assert_packed(model):
 
 
 def _write_through_translator(run_dir, model):
-    """Write ``model`` as ednn.f64/ednn.json beside a PCA of matching k."""
+    """Write ``model`` as ednn.f32/ednn.json beside a PCA of matching k."""
     traces = np.random.default_rng(33).normal(size=(model.input_len + 4, model.input_len + 5))
     pca = pca_fit(traces, model.input_len)
     scaler = Standardizer.fit(pca_transform(pca, traces))
@@ -305,15 +308,53 @@ def test_built_and_read_models_keep_layer_params_as_views(tmp_path):
 
 def test_ednn_from_vector_lays_its_layers_over_the_vector():
     size = build_ednn(16, (2, 2), "desk", seed=30).flat.size
-    vec = np.random.default_rng(31).normal(size=size)
+    vec = np.random.default_rng(31).normal(size=size).astype(np.float32)
     model = ednn_from_vector(16, (2, 2), "desk", vec)
-    assert model.flat is vec and np.array_equal(vec, np.random.default_rng(31).normal(size=size))
+    assert model.flat is vec
+    assert np.array_equal(vec, np.random.default_rng(31).normal(size=size).astype(np.float32))
     _assert_packed(model)
+    # any other dtype is refused, not copied
+    with pytest.raises(ValueError, match="float64"):
+        ednn_from_vector(16, (2, 2), "desk", vec.astype(np.float64))
 
 
 def test_write_ednn_bytes_are_layer_params_in_order(tmp_path):
     model = build_ednn(16, (2, 2), "desk", seed=32)
     _write_through_translator(tmp_path / "m", model)
     per_layer = [p.ravel() for layer in _parametric(model) for p in layer.params]
-    expect = np.concatenate(per_layer).astype("<f8").tobytes()
-    assert (tmp_path / "m" / "ednn.f64").read_bytes() == expect
+    expect = np.concatenate(per_layer).astype("<f4").tobytes()
+    assert (tmp_path / "m" / "ednn.f32").read_bytes() == expect
+
+
+def test_one_training_step_stays_float32_and_in_place():
+    # every activation, gradient and Adam moment of a desk EDNN is float32,
+    # and each conv layer's output is the buffer the next one reads in place
+    model = build_ednn(32, (3, 4), "desk", seed=36)
+    convs = [layer for layer in model.layers if isinstance(layer, (Conv1D, ConvTranspose1D))]
+    outputs = []
+    for layer in model.layers:
+        def recorded(x, train=False, rng=None, forward=layer.forward):
+            out = forward(x, train=train, rng=rng)
+            outputs.append(out)
+            return out
+        layer.forward = recorded
+    opt = Adam([model.flat], lr=0.001)
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(5, 32))
+    y = rng.uniform(-0.5, 0.5, size=(5, 3, 4))
+    train_ednn(model, x, y, EdnnTrainConfig(epochs=1, batch_size=5, seed=38), theta=2.0, opt=opt)
+    assert opt.t == 1
+    assert len(outputs) == len(model.layers)
+    assert all(a.dtype == np.float32 for a in outputs)
+    for layer, out in zip(model.layers, outputs):
+        if layer in convs:
+            buf, _ = _buffer_of(out)
+            assert np.shares_memory(buf, out)
+            # the next conv layer read that buffer itself, not a copy of it
+            following = convs[convs.index(layer) + 1:]
+            if following:
+                assert np.shares_memory(following[0]._x, buf)
+    grads = [g for layer in _parametric(model) for g in layer.grad_params]
+    assert model.flat_grad.any()
+    assert all(a.dtype == np.float32 for a in [model.flat, model.flat_grad, *grads])
+    assert all(a.dtype == np.float32 for a in [*opt.m, *opt.v, opt._a, opt._b])

@@ -469,10 +469,15 @@ _REFERENCE = {
 }
 
 
-def _assert_close(got, want):
-    """rtol 1e-12, with entries near zero judged against the array's scale."""
+# float32 layers against the float64 reference: a few roundings per output
+# entry, so a bound of 64 eps leaves headroom over the ~10 eps seen
+F32_TOL = 64 * np.finfo(np.float32).eps
+
+
+def _assert_close(got, want, tol=1e-12):
+    """rtol ``tol``, with entries near zero judged against the array's scale."""
     assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
 
 
 def _channel_major(a, extra):
@@ -484,15 +489,19 @@ def _channel_major(a, extra):
     return view
 
 
-def _check_against_reference(layer, x, dout):
+def _check_against_reference(layer, x, dout, tol=1e-12):
+    """The layer's forward and backward against the float64 reference on the same inputs."""
     forward, backward = _REFERENCE[type(layer)]
-    x_ref, dout_ref = np.array(x), np.array(dout)
-    _assert_close(layer.forward(x), forward(x_ref, layer.w, layer.b, layer.stride))
+    x_ref, dout_ref = np.array(x, np.float64), np.array(dout, np.float64)
+    out = layer.forward(x)
+    assert out.dtype == layer.w.dtype
+    _assert_close(out, forward(x_ref, layer.w, layer.b, layer.stride), tol)
     dx = layer.backward(dout)
+    assert dx.dtype == layer.w.dtype
     ref_dx, ref_dw, ref_db = backward(x_ref, layer.w, dout_ref, layer.stride)
-    _assert_close(dx, ref_dx)
-    _assert_close(layer.grad_params[0], ref_dw)
-    _assert_close(layer.grad_params[1], ref_db)
+    _assert_close(dx, ref_dx, tol)
+    _assert_close(layer.grad_params[0], ref_dw, tol)
+    _assert_close(layer.grad_params[1], ref_db, tol)
 
 
 @pytest.mark.parametrize("kind", [Conv1D, ConvTranspose1D])
@@ -514,32 +523,55 @@ def test_conv_layers_match_reference_kernels(kind, stride):
                                  _channel_major(dout, extra))
 
 
+@pytest.mark.parametrize("kind", [Conv1D, ConvTranspose1D])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_float32_conv_layers_match_the_float64_reference(kind, stride):
+    for i in range(40):
+        rng = np.random.default_rng(6000 + 100 * stride + i)
+        c_in, c_out = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        kernel = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 6))
+        length = int(rng.integers(kernel, kernel + 12))
+        layer = kind(c_in, c_out, kernel, None, stride=stride)
+        layer.bind(np.empty(layer.size, np.float32), np.zeros(layer.size, np.float32), rng)
+        l_out = kind.out_len(length, kernel, stride)
+        x = rng.normal(size=(n, c_in, length)).astype(np.float32)
+        dout = rng.normal(size=(n, c_out, l_out)).astype(np.float32)
+        _check_against_reference(layer, x, dout, F32_TOL)
+        extra = int(rng.integers(1, 9))
+        _check_against_reference(layer, _channel_major(x, extra),
+                                 _channel_major(dout, extra), F32_TOL)
+
+
 def test_desk_ednn_matches_reference_kernels_layer_by_layer():
-    # a desk-width EDNN on a small batch: each conv layer's forward, dx,
-    # dw and db against the reference, fed what the layer before returned
+    # a desk-width (float32) EDNN on a small batch: each conv layer's
+    # forward, dx, dw and db against the float64 reference, fed what the
+    # layer before returned
     model = build_ednn(256, (41, 20), "desk", seed=41)
     rng = np.random.default_rng(42)
-    a = rng.normal(size=(6, 256))
+    a = rng.normal(size=(6, 256)).astype(np.float32)
     inputs, checked = [], 0
     for layer in model.layers:
-        inputs.append(np.array(a))
+        inputs.append(np.array(a, np.float64))
         a = layer.forward(a, train=True, rng=rng)
+        assert a.dtype == np.float32
         if type(layer) in _REFERENCE:
             # the signal stays channel-major from conv to conv
             assert _buffer_of(a) is not None
             forward, _ = _REFERENCE[type(layer)]
-            _assert_close(a, forward(inputs[-1], layer.w, layer.b, layer.stride))
-    d = rng.normal(size=a.shape)
+            _assert_close(a, forward(inputs[-1], layer.w, layer.b, layer.stride), F32_TOL)
+    d = rng.normal(size=a.shape).astype(np.float32)
     for layer, x in zip(reversed(model.layers), reversed(inputs)):
-        d_in = np.array(d)
+        d_in = np.array(d, np.float64)
         d = layer.backward(d)
+        assert d.dtype == np.float32
         if type(layer) in _REFERENCE:
             assert _buffer_of(d) is not None
             _, backward = _REFERENCE[type(layer)]
             ref_dx, ref_dw, ref_db = backward(x, layer.w, d_in, layer.stride)
-            _assert_close(d, ref_dx)
-            _assert_close(layer.grad_params[0], ref_dw)
-            _assert_close(layer.grad_params[1], ref_db)
+            _assert_close(d, ref_dx, F32_TOL)
+            _assert_close(layer.grad_params[0], ref_dw, F32_TOL)
+            _assert_close(layer.grad_params[1], ref_db, F32_TOL)
             checked += 1
     assert checked == 5
 

@@ -349,7 +349,7 @@ def test_phase1_artifacts_round_trip_to_identical_extraction(tmp_path):
     assert back.iterations == res.iterations
 
 
-TRANSLATOR_FILES = ("pca.f64", "pca.json", "pca_scaler.json", "ednn.f64", "ednn.json")
+TRANSLATOR_FILES = ("pca.f64", "pca.json", "pca_scaler.json", "ednn.f32", "ednn.json")
 
 
 def _written_translator(run_dir):
@@ -382,7 +382,7 @@ def test_translator_read_then_write_reproduces_all_five_files(tmp_path):
 
 
 def test_translator_read_rejects_truncated_binaries(tmp_path):
-    for name in ("pca.f64", "ednn.f64"):
+    for name in ("pca.f64", "ednn.f32"):
         run = tmp_path / name
         _written_translator(run)
         (run / name).write_bytes((run / name).read_bytes()[:-8])
