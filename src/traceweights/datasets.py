@@ -82,9 +82,6 @@ class Dataset:
     def d(self) -> int:
         return int(self.x.shape[1])
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.y, minlength=self.n_classes)
-
     def subset(self, idx) -> "Dataset":
         return replace(self, x=self.x[idx].copy(), y=self.y[idx].copy())
 
@@ -220,8 +217,8 @@ def load_csv(path, label_column: str) -> Dataset:
     """Load a numeric CSV with a header row into a scaled Dataset.
 
     Labels must be integers.  Every feature column is min-max scaled to
-    [0, 1]; constant columns map to 0.  Parse failures report the file
-    row number and column name.
+    [0, 1]; constant columns map to 0.  Parse failures, non-finite cells
+    included, report the file row number and column name.
     """
     p = Path(path)
     lines = [ln for ln in p.read_text().splitlines() if ln.strip()]
@@ -245,9 +242,11 @@ def load_csv(path, label_column: str) -> Dataset:
             try:
                 v = float(cell)
             except ValueError:
+                v = np.nan
+            if not np.isfinite(v):  # float() accepts "nan" and "inf"
                 raise ValueError(
-                    f"{p}: row {lineno}, column {header[i]!r}: not numeric: {cell!r}"
-                ) from None
+                    f"{p}: row {lineno}, column {header[i]!r}: not a finite number: {cell!r}"
+                )
             if i == label_pos:
                 if v != int(v):
                     raise ValueError(

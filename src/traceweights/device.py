@@ -16,7 +16,7 @@ clamped and quantized by an ADC with 2**adc_bits uniform levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -25,7 +25,6 @@ import numpy as np
 from .artifacts import read_array, read_json, write_array, write_json
 from .mlp import MlpModel, validate_topology
 from .nn import relu
-from .seeding import digest_of
 
 __all__ = [
     "DeviceConfig",
@@ -69,14 +68,10 @@ class DeviceConfig:
         if not 0 <= self.fixed_point_frac_bits < self.fixed_point_bits:
             raise ValueError("fixed_point_frac_bits must be < fixed_point_bits")
 
-    def digest(self) -> str:
-        return digest_of(asdict(self))
-
 
 @dataclass
 class PowerTrace:
     samples: np.ndarray
-    meta: dict
 
 
 def fixed_point_code(values, bits: int, frac_bits: int) -> np.ndarray:
@@ -148,15 +143,7 @@ def simulate_trace(
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(cfg.rng_seed if seed is None else int(seed))
         raw = raw + rng.normal(0.0, cfg.noise_sigma, size=raw.shape)
-    samples = quantize_trace(raw, cfg.adc_bits, (cfg.adc_lo, cfg.adc_hi))
-    meta = {
-        "topology": list(model.topology),
-        "n_samples": int(samples.shape[0]),
-        "samples_per_mac": cfg.samples_per_mac,
-        "seed": int(cfg.rng_seed if seed is None else seed),
-        "device_digest": cfg.digest(),
-    }
-    return PowerTrace(samples=samples, meta=meta)
+    return PowerTrace(quantize_trace(raw, cfg.adc_bits, (cfg.adc_lo, cfg.adc_hi)))
 
 
 def quantize_trace(trace, bits: int, rng: tuple[float, float]) -> np.ndarray:

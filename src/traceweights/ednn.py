@@ -12,6 +12,9 @@ it reads (through PCA) and the matrices it learns are float32 values, a
 12-bit ADC's samples and the pair containers' storage, so float64
 arithmetic would add cost and no information.  ``forward`` and
 ``train_ednn`` cast what they are given; PCA and standardizing stay float64.
+
+Training is ``nn.train`` on the MSE loss, with validation accuracy
+against a threshold theta as its target.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .nn import (
-    Adam,
     Conv1D,
     ConvTranspose1D,
     Dense,
@@ -33,15 +35,16 @@ from .nn import (
     ReLU,
     ReshapeToMatrix,
     ReshapeToSignal,
-    backprop,
+    TrainConfig,
+    forward,
     mse_loss,
+    train,
 )
 
 __all__ = [
     "EdnnModel",
     "EdnnTrainConfig",
     "EdnnHistory",
-    "EdnnDivergence",
     "build_ednn",
     "ednn_from_vector",
     "ednn_accuracy",
@@ -58,12 +61,6 @@ _DECONV_KERNELS = (5, 4)
 _DROPOUT = 0.5
 # the dtype of the parameters, their gradients, and every activation
 _DTYPE = np.float32
-
-
-class EdnnDivergence(NumericalError):
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged at epoch {epoch}: loss is not finite")
-        self.epoch = epoch
 
 
 @dataclass
@@ -83,14 +80,7 @@ class EdnnModel:
     flat_grad: np.ndarray = field(repr=False)
 
     def forward(self, x, train=False, rng=None):
-        a = np.atleast_2d(np.asarray(x, dtype=_DTYPE))
-        for layer in self.layers:
-            a = layer.forward(a, train=train, rng=rng)
-        return a
-
-    def backward(self, dout):
-        """Writes ``flat_grad`` for the loss gradient ``dout`` of the last forward."""
-        backprop(self.layers, dout)
+        return forward(self.layers, np.atleast_2d(np.asarray(x, dtype=_DTYPE)), train, rng)
 
     def param_vector(self) -> np.ndarray:
         return self.flat.copy()
@@ -183,60 +173,25 @@ class EdnnHistory:
     epochs_run: int = 0
 
 
-def train_ednn(
-    model: EdnnModel,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    cfg: EdnnTrainConfig,
-    theta: float,
-    val: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    mask: Optional[np.ndarray] = None,
-    opt: Optional[Adam] = None,
-    log=None,
-) -> EdnnHistory:
-    """MSE training with Adam; stops once validation accuracy reaches theta.
+def train_ednn(model: EdnnModel, x_train: np.ndarray, y_train: np.ndarray, cfg: EdnnTrainConfig,
+               theta: float, val: Optional[tuple[np.ndarray, np.ndarray]] = None,
+               mask: Optional[np.ndarray] = None, log=None) -> EdnnHistory:
+    """MSE training with ``nn.train``; stops once validation accuracy reaches theta.
 
-    Passing ``opt`` keeps optimizer moments across calls (warm restarts).
-    Raises EdnnDivergence with the epoch index if the loss goes non-finite.
-    Pairs are cast to float32 once, here.
+    Each call starts fresh Adam moments.  Pairs are cast to float32 once, here.
     """
     x_train = np.asarray(x_train, dtype=_DTYPE)
     y_train = np.asarray(y_train, dtype=_DTYPE)
     if x_train.shape[0] != y_train.shape[0] or x_train.shape[0] == 0:
         raise ValueError("training pairs are empty or misaligned")
-    rng = np.random.default_rng(cfg.seed)
-    if opt is None:
-        opt = Adam([model.flat], lr=cfg.lr)
-    hist = EdnnHistory()
-
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(x_train.shape[0])
-        epoch_loss = 0.0
-        for start in range(0, x_train.shape[0], cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            pred = model.forward(x_train[idx], train=True, rng=rng)
-            loss, dpred = mse_loss(pred, y_train[idx])
-            if not np.isfinite(loss):
-                raise EdnnDivergence(epoch)
-            model.backward(dpred)
-            opt.step([model.flat], [model.flat_grad])
-            epoch_loss += loss * len(idx)
-        hist.train_loss.append(epoch_loss / x_train.shape[0])
-        hist.epochs_run = epoch
-
-        if val is not None:
-            acc = ednn_accuracy(
-                model.forward(val[0], train=False), val[1], cfg.tau, mask
-            )
-            hist.val_accuracy.append(acc)
-            if log is not None:
-                log(f"epoch={epoch} loss={hist.train_loss[-1]:.5f} val_acc={acc:.4f}")
-            if acc >= theta:
-                hist.reached_theta = True
-                break
-        elif log is not None:
-            log(f"epoch={epoch} loss={hist.train_loss[-1]:.5f}")
-    return hist
+    schedule = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed)
+    (hist,) = train(
+        model.layers, model.flat, model.flat_grad, x_train,
+        lambda pred, idx: mse_loss(pred, y_train[idx]), [schedule],
+        val_score=None if val is None else (
+            lambda: ednn_accuracy(model.forward(val[0], train=False), val[1], cfg.tau, mask)),
+        target=theta, log=log)
+    return EdnnHistory(hist.train_loss, hist.val_acc, hist.reached_target, hist.stopped_epoch)
 
 
 def predict_weights(model: EdnnModel, reduced: np.ndarray) -> np.ndarray:

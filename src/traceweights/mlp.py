@@ -1,28 +1,32 @@
-"""Fully connected classifier models and their training loop.
+"""Fully connected classifier models.
 
 Hidden layers use relu.  The output head is a single sigmoid unit for
-binary tasks and a softmax row for anything wider.  Training is Adam on
-cross-entropy with optional inverted dropout after each hidden layer.
-Forward and backward passes run through ``nn``'s Dense, ReLU and Dropout
-layers built over views of a model's (or a stack's) parameter vector.
+binary tasks and a softmax row for anything wider.  Forward and backward
+passes run through ``nn``'s Dense, ReLU and Dropout layers built over
+views of a model's (or a stack's) parameter vector, and training is
+``nn.train`` on the head's cross-entropy, with optional inverted dropout
+after each hidden layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .nn import (
-    Adam,
     Dense,
     Dropout,
     ReLU,
+    TrainConfig,
+    TrainHistory,
     backprop,
+    cross_entropy_from_probs,
+    forward,
     sigmoid,
     softmax,
-    cross_entropy_from_probs,
+    train,
 )
 
 __all__ = [
@@ -110,7 +114,7 @@ def _layer_views(flat, topology):
 def _network(flat, topology, grad=None, dropout=0.0):
     """Dense layers over ``_layer_views`` of ``flat`` and ``grad``, ReLU and Dropout between.
 
-    Without ``grad`` the layers run forward only; the head is ``_predict``'s.
+    Without ``grad`` the layers run forward only; the head is ``_head``'s.
     """
     weights, biases = _layer_views(flat, topology)
     none = [None] * len(weights)
@@ -125,43 +129,20 @@ def _network(flat, topology, grad=None, dropout=0.0):
     return layers
 
 
-def _predict(layers, x, train=False, rng=None):
+def _head(z):
     """Head probabilities: sigmoid for a single output unit, else softmax."""
-    for layer in layers:
-        x = layer.forward(x, train=train, rng=rng)
-    return sigmoid(x) if x.shape[-1] == 1 else softmax(x)
+    return sigmoid(z) if z.shape[-1] == 1 else softmax(z)
 
 
-def _loss_and_grads(layers, x, labels, rng=None):
-    """Mean batch cross-entropy per model of integer ``labels``, (..., n) like the batch.
-
-    The layers write their gradients; an ``rng`` turns dropout on.
-    """
-    out = _predict(layers, x, train=rng is not None, rng=rng)
+def _cross_entropy(z, labels):
+    """(mean cross-entropy per model of integer ``labels`` under the head of ``z``, dloss/dz)."""
+    out = _head(z)
     n = out.shape[-2]
-    loss_val = cross_entropy_from_probs(out, labels)
     if out.shape[-1] == 1:
         dz = (out - labels[..., None]) / n
     else:
         dz = (out - (labels[..., None] == np.arange(out.shape[-1]))) / n
-    backprop(layers, dz)
-    return loss_val
-
-
-class _PerModelRandom:
-    """The Dropout generator of a stack: each model's row comes from its own generator.
-
-    ``random(shape)`` fills row s of an (S, ...) draw as model s alone would draw it.
-    """
-
-    def __init__(self, rngs):
-        self.rngs = rngs
-
-    def random(self, shape):
-        out = np.empty(shape)
-        for row, rng in zip(out.reshape(len(self.rngs), -1), self.rngs):
-            rng.random(out=row)
-        return out
+    return cross_entropy_from_probs(out, labels), dz
 
 
 def _labels(probs):
@@ -174,7 +155,7 @@ def _labels(probs):
 def mlp_forward(model, x):
     """Probabilities for a (d,) vector or (n, d) batch."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = _predict(_network(model.flat, model.topology), x2)
+    out = _head(forward(_network(model.flat, model.topology), x2))
     return out[0] if np.ndim(x) == 1 else out
 
 
@@ -186,7 +167,9 @@ def mlp_backward(model, x, labels):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     grad = np.zeros_like(model.flat)
-    loss_val = _loss_and_grads(_network(model.flat, model.topology, grad), x, labels)
+    layers = _network(model.flat, model.topology, grad)
+    loss_val, dz = _cross_entropy(forward(layers, x), labels)
+    backprop(layers, dz)
     return float(loss_val), *_layer_views(grad, model.topology)
 
 
@@ -199,39 +182,11 @@ def model_accuracy(model, x, y):
     return float(np.mean(predict_labels(model, x) == np.asarray(y)))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Settings of one MLP training run, whatever the model's role."""
-
-    epochs: int
-    batch_size: int = 16
-    lr: float = 0.003
-    dropout: float = 0.0
-    seed: int = 0
-    early_stop_patience: Optional[int] = None
-    lr_halve_after: Optional[int] = None
-    restore_best: bool = False
-
-
-@dataclass
-class TrainHistory:
-    train_loss: list[float] = field(default_factory=list)
-    train_acc: list[float] = field(default_factory=list)
-    val_acc: list[float] = field(default_factory=list)
-    best_epoch: int = 0
-    stopped_epoch: int = 0
-
-
 def train_mlp(model, x, y, cfg: TrainConfig, val=None) -> TrainHistory:
-    """Train in place with Adam on cross-entropy.
+    """Train in place on cross-entropy; ``train_mlp_stack`` on a stack of one.
 
-    When ``val`` (x_val, y_val) is given, validation accuracy is recorded
-    per epoch and drives the optional early-stop/halving/restore logic:
-    the learning rate halves after ``lr_halve_after`` epochs without a new
-    best validation accuracy, training stops after ``early_stop_patience``
-    such epochs, and ``restore_best`` puts the best checkpoint back at the
-    end.  Epoch counters in the history are 1-based.  This is
-    ``train_mlp_stack`` on a stack of one.
+    ``val`` (x_val, y_val) is scored per epoch and drives ``cfg``'s
+    schedule (see ``nn.train``).
     """
     return train_mlp_stack([model], x, y, [cfg], val=val)[0]
 
@@ -242,72 +197,27 @@ def train_mlp_stack(models, x, y, cfgs, val=None) -> list[TrainHistory]:
     ``cfgs[i]`` configures ``models[i]``, and the configs may differ only
     in ``seed``.  A stack of S > 1 models trains a copy of their
     parameters as one (S, P) block: each batch runs through one batched
-    forward and backward, and one Adam steps the whole block.  Each model
-    keeps its own generator and draws from it in the order it would alone
-    (a permutation per epoch, then each batch's dropout masks layer by
-    layer), so every model ends bit-identical to training it by itself.
-    ``val`` drives the schedules described in ``train_mlp`` and needs a
-    single model.
+    forward and backward, and one Adam steps the whole block.  Every model
+    ends bit-identical to training it by itself.  ``val`` needs a single
+    model.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("training set is empty")
-    cfg = cfgs[0]
-    if len(cfgs) != len(models) or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ValueError("a stack needs one config per model, differing only in seed")
     topology = models[0].topology
-    if any(m.topology != topology for m in models):
-        raise ValueError("a stack needs models of one topology")
-    if val is not None and len(models) > 1:
-        raise ValueError("validation-driven training takes one model at a time")
+    if len(cfgs) != len(models) or any(m.topology != topology for m in models):
+        raise ValueError("a stack needs models of one topology and one config each")
     flat = models[0].flat if len(models) == 1 else np.stack([m.flat for m in models])
-    lead = flat.shape[:-1]
     grad = np.zeros_like(flat)
-    layers = _network(flat, topology, grad, cfg.dropout)
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    draws = rngs[0] if len(rngs) == 1 else _PerModelRandom(rngs)
-    opt = Adam([flat], lr=cfg.lr)
-    hists = [TrainHistory() for _ in models]
-    n = x.shape[0]
-    best_acc = -1.0
-    best_flat = None
-    stale = 0
+    layers = _network(flat, topology, grad, cfgs[0].dropout)
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = np.reshape([rng.permutation(n) for rng in rngs], lead + (n,))
-        epoch_loss = np.zeros(lead)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[..., start : start + cfg.batch_size]
-            loss_val = _loss_and_grads(layers, x[idx], y[idx], draws)
-            opt.step([flat], [grad])
-            epoch_loss += loss_val * idx.shape[-1]
-        accs = np.mean(_labels(_predict(layers, x)) == y, axis=-1)
-        for hist, loss_s, acc_s in zip(hists, np.atleast_1d(epoch_loss / n), np.atleast_1d(accs)):
-            hist.train_loss.append(float(loss_s))
-            hist.train_acc.append(float(acc_s))
-            hist.stopped_epoch = epoch
+    def accuracy(xs, ys):
+        return np.mean(_labels(_head(forward(layers, np.asarray(xs, np.float64)))) == ys, axis=-1)
 
-        if val is None:
-            continue
-        hist = hists[0]
-        acc = model_accuracy(models[0], val[0], val[1])
-        hist.val_acc.append(acc)
-        if acc > best_acc:
-            best_acc = acc
-            hist.best_epoch = epoch
-            stale = 0
-            if cfg.restore_best:
-                best_flat = flat.copy()
-        else:
-            stale += 1
-            if cfg.lr_halve_after is not None and stale == cfg.lr_halve_after:
-                opt.lr *= 0.5
-            if cfg.early_stop_patience is not None and stale >= cfg.early_stop_patience:
-                break
-
-    if best_flat is not None:
-        flat[...] = best_flat
+    hists = train(layers, flat, grad, x, lambda z, idx: _cross_entropy(z, y[idx]), cfgs,
+                  train_score=lambda: accuracy(x, y),
+                  val_score=None if val is None else lambda: float(accuracy(*val)))
     if len(models) > 1:
         for model, row in zip(models, flat):
             model.flat[...] = row

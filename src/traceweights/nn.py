@@ -1,4 +1,4 @@
-"""Minimal neural-network engine on numpy: the one set of layers every model runs on.
+"""Minimal neural-network engine on numpy: the one set of layers and the one training loop.
 
 Every layer computes in the dtype of its own parameters: the EDNN holds
 float32, every MLP float64.  Layers cache what their backward pass needs,
@@ -9,6 +9,11 @@ is built from these layers, and so is every MLP (see ``mlp.py``):
 ``Dense`` works on the last two axes, so one layer whose weight has a
 leading stack axis trains S same-topology models in step on an (S, n, f)
 batch.
+
+Training.  ``train`` is the one training loop: Adam on shuffled
+mini-batches of the caller's layers and loss, under the validation
+schedule of a ``TrainConfig``.  The EDNN and every MLP, stacked or alone,
+train through it.
 
 Signal layout.  Conv1D and ConvTranspose1D take and return (n, c, l)
 arrays but run the whole batch as one channel-major signal: a
@@ -26,8 +31,12 @@ on these views.  An input laid out any other way is copied into a buffer.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
+
+from .errors import NumericalError
 
 __all__ = [
     "relu",
@@ -36,7 +45,12 @@ __all__ = [
     "mse_loss",
     "cross_entropy_from_probs",
     "Adam",
+    "DivergenceError",
+    "TrainConfig",
+    "TrainHistory",
+    "forward",
     "backprop",
+    "train",
     "ParamLayer",
     "Dense",
     "Conv1D",
@@ -230,6 +244,13 @@ class Dense(ParamLayer):
         """``backward`` without the input gradient: writes ``grad_params`` only."""
         np.matmul(self._x.swapaxes(-1, -2), dout, out=self.grad_params[0])
         np.add.reduce(dout, axis=-2, out=self.grad_params[1])  # np.sum minus its wrapper
+
+
+def forward(layers, x, train=False, rng=None):
+    """Every layer's forward pass, first layer first; an ``rng`` with ``train`` drives dropout."""
+    for layer in layers:
+        x = layer.forward(x, train=train, rng=rng)
+    return x
 
 
 def backprop(layers, dout):
@@ -542,3 +563,129 @@ class ReshapeToMatrix:
 
     def backward(self, dout):
         return dout.reshape(dout.shape[0], self.rows * self.cols)
+
+
+class DivergenceError(NumericalError):
+    """A training loss went non-finite in 1-based epoch ``epoch``."""
+
+    def __init__(self, epoch: int):
+        super().__init__(f"training diverged at epoch {epoch}: loss is not finite")
+        self.epoch = epoch
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Settings of one training run: ``train``'s schedule, the MLP dropout rate, the seed."""
+
+    epochs: int
+    batch_size: int = 16
+    lr: float = 0.003
+    dropout: float = 0.0
+    seed: int = 0
+    early_stop_patience: Optional[int] = None
+    lr_halve_after: Optional[int] = None
+    restore_best: bool = False
+
+
+@dataclass
+class TrainHistory:
+    """Per-epoch records of one model; epoch counters are 1-based."""
+
+    train_loss: list[float] = field(default_factory=list)
+    train_acc: list[float] = field(default_factory=list)
+    val_acc: list[float] = field(default_factory=list)
+    best_epoch: int = 0
+    stopped_epoch: int = 0
+    reached_target: bool = False
+
+
+class _PerModelRandom:
+    """The Dropout generator of a stack: each model's row comes from its own generator.
+
+    ``random(shape)`` fills row s of an (S, ...) draw as model s alone would draw it.
+    """
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+
+    def random(self, shape):
+        out = np.empty(shape)
+        for row, rng in zip(out.reshape(len(self.rngs), -1), self.rngs):
+            rng.random(out=row)
+        return out
+
+
+def train(layers, flat, grad, x, loss, cfgs, train_score=None, val_score=None, target=None,
+          log=None) -> list[TrainHistory]:
+    """Adam on shuffled mini-batches of ``x``, in place on ``flat``; one history per model.
+
+    ``flat`` is one model's (P,) vector or S models' (S, P) block, and
+    ``layers`` run over views of it and of ``grad``.  ``cfgs`` holds one
+    config per model, differing only in ``seed``; each model draws from
+    its own generator what it would alone: a permutation per epoch, then
+    each batch's dropout draws.  ``loss(out, idx)`` gives batch ``idx``'s
+    mean loss per model and its gradient for the layers' output; a
+    non-finite loss raises ``DivergenceError``.  Per epoch, ``train_score()``
+    is recorded as ``train_acc``, and ``val_score()`` (one model only) as
+    ``val_acc``.  The latter drives the schedule: lr halves after
+    ``lr_halve_after`` epochs without a new best, training stops after
+    ``early_stop_patience`` of them or once the score reaches ``target``,
+    and ``restore_best`` ends on the best epoch's parameters.
+    """
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("a stack needs one config per model, differing only in seed")
+    if val_score is not None and len(cfgs) > 1:
+        raise ValueError("validation-driven training takes one model at a time")
+    lead, n = flat.shape[:-1], x.shape[0]
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    draws = rngs[0] if len(rngs) == 1 else _PerModelRandom(rngs)
+    opt = Adam([flat], lr=cfg.lr)
+    hists = [TrainHistory() for _ in cfgs]
+    hist = hists[0]
+    best_acc, best_flat, stale = -1.0, None, 0
+
+    for epoch in range(1, cfg.epochs + 1):
+        order = np.reshape([rng.permutation(n) for rng in rngs], lead + (n,))
+        epoch_loss = np.zeros(lead)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[..., start : start + cfg.batch_size]
+            loss_val, dout = loss(forward(layers, x[idx], train=True, rng=draws), idx)
+            if not np.isfinite(loss_val).all():
+                raise DivergenceError(epoch)
+            backprop(layers, dout)
+            opt.step([flat], [grad])
+            epoch_loss += loss_val * idx.shape[-1]
+        for h, loss_s in zip(hists, np.atleast_1d(epoch_loss / n)):
+            h.train_loss.append(float(loss_s))
+            h.stopped_epoch = epoch
+        if train_score is not None:
+            for h, acc_s in zip(hists, np.atleast_1d(train_score())):
+                h.train_acc.append(float(acc_s))
+
+        line = f"epoch={epoch} loss={hist.train_loss[-1]:.5f}"
+        if val_score is None:
+            if log is not None:
+                log(line)
+            continue
+        acc = val_score()
+        hist.val_acc.append(acc)
+        if log is not None:
+            log(f"{line} val_acc={acc:.4f}")
+        if acc > best_acc:
+            best_acc, hist.best_epoch, stale = acc, epoch, 0
+            if cfg.restore_best:
+                best_flat = flat.copy()
+        else:
+            stale += 1
+            if stale == cfg.lr_halve_after:
+                opt.lr *= 0.5
+        if target is not None and acc >= target:
+            hist.reached_target = True
+            break
+        if cfg.early_stop_patience is not None and stale >= cfg.early_stop_patience:
+            break
+
+    if best_flat is not None:
+        flat[...] = best_flat
+    return hists

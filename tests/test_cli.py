@@ -14,7 +14,7 @@ import pytest
 from traceweights.cli import main
 from traceweights.config import load_run_config
 from traceweights.codec import WeightsMatrix, matrix_to_coefficients
-from traceweights.datasets import read_dataset
+from traceweights.datasets import read_dataset, write_dataset
 from traceweights.device import write_trace_container
 from traceweights.mlp import init_mlp, model_to_dict
 
@@ -582,6 +582,31 @@ def test_finetune_epochs_override_zero_keeps_decoded_model(
     decoded = matrix_to_coefficients(matrix, matrix.topology)
     assert np.allclose(np.asarray(doc["weights"][0]), decoded.weights[0])
     assert (out / "curves.csv").read_text() == "epoch,split,accuracy\n"
+
+
+def test_finetune_non_finite_data_exits_three(cli_root, tiny_cfg, extract_dir, data_dir, capsys):
+    ds = read_dataset(data_dir)
+    ds.x[:, 0] = np.inf  # in every row, so in the training split
+    bad = cli_root / "data_inf"
+    write_dataset(bad, ds)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rc = main(
+            [
+                "finetune",
+                "--config",
+                tiny_cfg,
+                "--matrix",
+                str(extract_dir / "extracted_matrix.json"),
+                "--data",
+                str(bad),
+                "--out",
+                str(cli_root / "finetuned_inf"),
+            ]
+        )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "stage=finetune" in err
+    assert "error=DivergenceError" in err and "epoch 1" in err
 
 
 def test_evaluate_prints_metrics(cli_root, tiny_cfg, victim_path, data_dir, capsys):

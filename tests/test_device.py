@@ -1,7 +1,5 @@
 """Leakage-model oracles: MAC counts, slot order, locality, ADC behavior."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -53,7 +51,6 @@ def test_trace_length_law_200_random_topologies():
         x = rng.random(topo[0])
         trace = simulate_trace(model, x, cfg)
         assert trace.samples.shape == (total_macs(topo) * spm,)
-        assert trace.meta["n_samples"] == total_macs(topo) * spm
 
 
 def test_single_coefficient_perturbation_is_local():
@@ -201,8 +198,6 @@ def test_device_config_invariants():
         DeviceConfig(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         DeviceConfig(fixed_point_frac_bits=16, fixed_point_bits=16)
-    cfg = DeviceConfig()
-    assert replace(cfg, rng_seed=9).digest() != cfg.digest()
 
 
 def test_trace_container_round_trip(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from traceweights.ednn import (
-    EdnnDivergence,
     EdnnHistory,
     EdnnTrainConfig,
     build_ednn,
@@ -13,7 +12,17 @@ from traceweights.ednn import (
     predict_weights,
     train_ednn,
 )
-from traceweights.nn import Adam, Conv1D, ConvTranspose1D, Dense, Dropout, _buffer_of
+from traceweights.nn import (
+    Adam,
+    Conv1D,
+    ConvTranspose1D,
+    Dense,
+    DivergenceError,
+    Dropout,
+    _buffer_of,
+    backprop,
+    mse_loss,
+)
 from traceweights.pipeline import Translator
 from traceweights.reduction import Standardizer, pca_fit, pca_transform
 
@@ -175,7 +184,7 @@ def test_divergence_aborts_with_epoch_index():
     x = rng.normal(size=(6, 16)) * 1e180
     y = rng.normal(size=(6, 2, 2))
     model = build_ednn(16, (2, 2), "desk", seed=15)
-    with pytest.raises(EdnnDivergence) as err, np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
         train_ednn(
             model, x, y, EdnnTrainConfig(epochs=5, batch_size=6, seed=16),
             theta=2.0,
@@ -186,28 +195,97 @@ def test_divergence_aborts_with_epoch_index():
 
 def test_full_batch_eq2_loss_non_increasing_at_small_lr():
     # the Eq.-2 quantity is the deterministic training-set MSE of the
-    # model at each epoch boundary; the dropped-forward bookkeeping
-    # value inside the loop is noisy and exempt.
+    # model at each epoch boundary, where the log line is written; the
+    # dropped-forward bookkeeping value inside the loop is noisy and exempt.
     rng = np.random.default_rng(17)
     x = rng.normal(size=(50, 16))
     y = rng.normal(size=(50, 2, 2)) * 0.3
     model = build_ednn(16, (2, 2), "desk", seed=18)
-    opt = Adam([model.flat], lr=1e-4)
 
     def eq2_loss():
         diff = predict_weights(model, x) - y
         return float(np.sum(diff * diff) / x.shape[0])
 
     losses = [eq2_loss()]
-    for epoch in range(40):
-        train_ednn(
-            model, x, y,
-            EdnnTrainConfig(epochs=1, batch_size=50, lr=1e-4, seed=19 + epoch),
-            theta=2.0, opt=opt,
-        )
-        losses.append(eq2_loss())
+    train_ednn(
+        model, x, y, EdnnTrainConfig(epochs=40, batch_size=50, lr=1e-4, seed=19),
+        theta=2.0, log=lambda line: losses.append(eq2_loss()),
+    )
+    assert len(losses) == 41
     assert all(b <= a for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
+
+
+# ------------------------------------------------ reference EDNN trainer
+# train_ednn's own loop from before it ran on nn.train, copied with the
+# model's one-line backward inlined; train_ednn must match it bit for bit,
+# log lines included.
+
+
+def _reference_train_ednn(model, x_train, y_train, cfg, theta, val=None, mask=None, log=None):
+    x_train = np.asarray(x_train, dtype=np.float32)
+    y_train = np.asarray(y_train, dtype=np.float32)
+    rng = np.random.default_rng(cfg.seed)
+    opt = Adam([model.flat], lr=cfg.lr)
+    hist = EdnnHistory()
+
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(x_train.shape[0])
+        epoch_loss = 0.0
+        for start in range(0, x_train.shape[0], cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            pred = model.forward(x_train[idx], train=True, rng=rng)
+            loss, dpred = mse_loss(pred, y_train[idx])
+            assert np.isfinite(loss)
+            backprop(model.layers, dpred)
+            opt.step([model.flat], [model.flat_grad])
+            epoch_loss += loss * len(idx)
+        hist.train_loss.append(epoch_loss / x_train.shape[0])
+        hist.epochs_run = epoch
+
+        if val is not None:
+            acc = ednn_accuracy(
+                model.forward(val[0], train=False), val[1], cfg.tau, mask
+            )
+            hist.val_accuracy.append(acc)
+            if log is not None:
+                log(f"epoch={epoch} loss={hist.train_loss[-1]:.5f} val_acc={acc:.4f}")
+            if acc >= theta:
+                hist.reached_theta = True
+                break
+        elif log is not None:
+            log(f"epoch={epoch} loss={hist.train_loss[-1]:.5f}")
+    return hist
+
+
+@pytest.mark.parametrize("with_val", [True, False])
+def test_train_ednn_matches_reference_loop_bit_for_bit(with_val):
+    rng = np.random.default_rng(41)
+    n = 23  # batches of 8, 8 and a partial 7
+    x = rng.normal(size=(n, 16))
+    y = rng.uniform(-0.1, 0.1, size=(n, 2, 3))
+    val = (rng.normal(size=(9, 16)), rng.uniform(-0.1, 0.1, size=(9, 2, 3)))
+    mask = np.array([[True, True, False], [True, True, True]])
+    cfg = EdnnTrainConfig(epochs=8, batch_size=8, lr=0.003, tau=0.05, seed=41)
+    # with val, a theta that a middle epoch reaches ends the run early
+    kwargs = dict(theta=0.56, val=val, mask=mask) if with_val else dict(theta=0.0)
+    runs = []
+    for trainer in (_reference_train_ednn, train_ednn):
+        model = build_ednn(16, (2, 3), "desk", seed=42)
+        lines = []
+        hist = trainer(model, x, y, cfg, log=lines.append, **kwargs)
+        runs.append((model.flat, hist, lines))
+    (ref_flat, ref, ref_lines), (flat, hist, lines) = runs
+    assert np.array_equal(flat, ref_flat)
+    assert hist.train_loss == ref.train_loss
+    assert hist.val_accuracy == ref.val_accuracy
+    assert (hist.epochs_run, hist.reached_theta) == (ref.epochs_run, ref.reached_theta)
+    assert lines == ref_lines
+    if with_val:
+        assert ref.reached_theta and 1 < ref.epochs_run < cfg.epochs
+    else:
+        assert not ref.reached_theta and ref.epochs_run == cfg.epochs
+        assert ref.val_accuracy == []
 
 
 def test_train_rejects_empty_or_misaligned_pairs():
@@ -258,20 +336,6 @@ def test_training_twice_from_one_seed_is_byte_identical():
         train_ednn(model, x, y, EdnnTrainConfig(epochs=2, batch_size=8, seed=35), theta=2.0)
         flats.append(model.flat.tobytes())
     assert flats[0] == flats[1]
-
-
-def test_warm_optimizer_continues_across_calls():
-    rng = np.random.default_rng(25)
-    x = rng.normal(size=(10, 16))
-    y = np.full((10, 2, 2), 0.1)
-    model = build_ednn(16, (2, 2), "desk", seed=26)
-    opt = Adam([model.flat], lr=0.001)
-    train_ednn(model, x, y, EdnnTrainConfig(epochs=2, batch_size=5, seed=27),
-               theta=2.0, opt=opt)
-    t_after_first = opt.t
-    train_ednn(model, x, y, EdnnTrainConfig(epochs=2, batch_size=5, seed=28),
-               theta=2.0, opt=opt)
-    assert opt.t == 2 * t_after_first
 
 
 def _parametric(model):
@@ -338,12 +402,13 @@ def test_one_training_step_stays_float32_and_in_place():
             outputs.append(out)
             return out
         layer.forward = recorded
-    opt = Adam([model.flat], lr=0.001)
+    start = model.flat.copy()
     rng = np.random.default_rng(37)
     x = rng.normal(size=(5, 32))
     y = rng.uniform(-0.5, 0.5, size=(5, 3, 4))
-    train_ednn(model, x, y, EdnnTrainConfig(epochs=1, batch_size=5, seed=38), theta=2.0, opt=opt)
-    assert opt.t == 1
+    hist = train_ednn(model, x, y, EdnnTrainConfig(epochs=1, batch_size=5, seed=38), theta=2.0)
+    assert hist.epochs_run == 1
+    assert not np.array_equal(model.flat, start)
     assert len(outputs) == len(model.layers)
     assert all(a.dtype == np.float32 for a in outputs)
     for layer, out in zip(model.layers, outputs):
@@ -357,4 +422,5 @@ def test_one_training_step_stays_float32_and_in_place():
     grads = [g for layer in _parametric(model) for g in layer.grad_params]
     assert model.flat_grad.any()
     assert all(a.dtype == np.float32 for a in [model.flat, model.flat_grad, *grads])
+    opt = Adam([model.flat], lr=0.001)  # as training builds it
     assert all(a.dtype == np.float32 for a in [*opt.m, *opt.v, opt._a, opt._b])

@@ -38,6 +38,7 @@ from traceweights.nn import (
     Conv1D,
     ConvTranspose1D,
     Dense,
+    DivergenceError,
     Dropout,
     ReLU,
     cross_entropy_from_probs,
@@ -707,6 +708,17 @@ def test_train_mlp_rejects_empty_training_set():
         train_mlp(model, np.empty((0, 2)), np.empty(0, dtype=int), TrainConfig(epochs=1))
 
 
+def test_train_mlp_stops_on_a_non_finite_loss():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(12, 3))
+    y = (x[:, 0] > 0).astype(int)
+    x[4] = np.inf
+    model = init_mlp([3, 4, 1], seed=5)
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore", over="ignore"):
+        train_mlp(model, x, y, TrainConfig(epochs=3, batch_size=12, seed=5))
+    assert err.value.epoch == 1
+
+
 def test_train_mlp_is_deterministic():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(30, 3))
@@ -838,8 +850,16 @@ def _ref_dropout_masks(rngs, rate, hidden, n, noise):
     return masks
 
 
-def _ref_train_stack(models, x, y, cfgs):
-    """(flat, train_loss, train_acc) per model, the models left untouched."""
+def _ref_labels(probs):
+    return (probs[..., 0] >= 0.5) if probs.shape[-1] == 1 else np.argmax(probs, axis=-1)
+
+
+def _ref_train_stack(models, x, y, cfgs, val=None):
+    """(flat, train_loss, train_acc) per model, the models left untouched.
+
+    With ``val`` (one model) the validation schedule runs too, and
+    (val_acc, best_epoch, stopped_epoch) follow.
+    """
     cfg = cfgs[0]
     topology = models[0].topology
     flat = models[0].flat.copy() if len(models) == 1 else np.stack([m.flat for m in models])
@@ -853,7 +873,8 @@ def _ref_train_stack(models, x, y, cfgs):
     opt = Adam([flat], lr=cfg.lr)
     n = x.shape[0]
     losses, accs = [], []
-    for _ in range(cfg.epochs):
+    val_accs, best_acc, best_epoch, best_flat, stale = [], -1.0, 0, None, 0
+    for epoch in range(1, cfg.epochs + 1):
         order = np.reshape([rng.permutation(n) for rng in rngs], lead + (n,))
         epoch_loss = np.zeros(lead)
         for start in range(0, n, cfg.batch_size):
@@ -864,11 +885,27 @@ def _ref_train_stack(models, x, y, cfgs):
             loss_val = _ref_loss_and_grads(weights, biases, x[idx], y[idx], masks, grad_w, grad_b)
             opt.step([flat], [grad])
             epoch_loss += loss_val * idx.shape[-1]
-        probs = _ref_forward(weights, biases, x)[0]
-        labels = (probs[..., 0] >= 0.5) if probs.shape[-1] == 1 else np.argmax(probs, axis=-1)
+        labels = _ref_labels(_ref_forward(weights, biases, x)[0])
         losses.append(np.atleast_1d(epoch_loss / n))
         accs.append(np.atleast_1d(np.mean(labels == y, axis=-1)))
-    return np.reshape(flat, (len(models), -1)), np.transpose(losses), np.transpose(accs)
+        if val is None:
+            continue
+        acc = float(np.mean(_ref_labels(_ref_forward(weights, biases, val[0])[0]) == val[1]))
+        val_accs.append(acc)
+        if acc > best_acc:
+            best_acc, best_epoch, stale = acc, epoch, 0
+            if cfg.restore_best:
+                best_flat = flat.copy()
+        else:
+            stale += 1
+            if cfg.lr_halve_after is not None and stale == cfg.lr_halve_after:
+                opt.lr *= 0.5
+            if cfg.early_stop_patience is not None and stale >= cfg.early_stop_patience:
+                break
+    if best_flat is not None:
+        flat[...] = best_flat
+    out = np.reshape(flat, (len(models), -1)), np.transpose(losses), np.transpose(accs)
+    return out if val is None else (*out, val_accs, best_epoch, epoch)
 
 
 @pytest.mark.parametrize("stack", [1, 3])
@@ -894,6 +931,30 @@ def test_stack_training_matches_reference_trainer_bit_for_bit(stack, topo, dropo
     # tell the hidden layers' order apart; pin it here
     kinds = [type(layer).__name__ for layer in _network(models[0].flat, topo)]
     assert kinds == ["Dense"] + ["ReLU", "Dropout", "Dense"] * (len(topo) - 2)
+
+
+def test_validation_schedule_matches_reference_trainer_bit_for_bit():
+    # lr halving, the early stop and restore-best all fire on this case
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(30, 3))
+    y = (x[:, 0] + 0.8 * rng.normal(size=30) > 0).astype(int)
+    xv = rng.normal(size=(10, 3))
+    yv = (xv[:, 0] + 0.8 * rng.normal(size=10) > 0).astype(int)
+    cfg = TrainConfig(epochs=60, batch_size=8, lr=0.05, dropout=0.2, seed=3,
+                      early_stop_patience=5, lr_halve_after=2, restore_best=True)
+    model = init_mlp((3, 6, 1), seed=3)
+    ref_flat, ref_loss, ref_acc, val_acc, best, stopped = _ref_train_stack(
+        [model], x, y, [cfg], val=(xv, yv))
+    hist = train_mlp(model, x, y, cfg, val=(xv, yv))
+    assert np.array_equal(model.flat, ref_flat[0])
+    assert np.array_equal(hist.train_loss, ref_loss[0])
+    assert np.array_equal(hist.train_acc, ref_acc[0])
+    assert hist.val_acc == val_acc
+    assert (hist.best_epoch, hist.stopped_epoch) == (best, stopped)
+    # restore-best rewound the run, which stopped early after halving lr
+    assert cfg.lr_halve_after < stopped - best == cfg.early_stop_patience
+    assert 1 < best and stopped < cfg.epochs
+    assert model_accuracy(model, xv, yv) == max(val_acc)
 
 
 def test_train_mlp_stack_rejects_mixed_configs_topologies_and_val():

@@ -1,5 +1,5 @@
-"""Every script starts, every exported name resolves, and every
-function the benchmark tracer patches still exists.
+"""Every script starts, every exported name resolves, every function the
+benchmark tracer patches still exists, and one loop does all training.
 
 A script, an ``__all__`` entry or a tracer patch point that still names a
 removed function fails here instead of at its first real use.
@@ -52,3 +52,25 @@ def test_tracer_patch_points_resolve():
     ]
     assert not missing
     assert hasattr(import_module("traceweights.nn").Adam, "step")
+
+
+def _adam_calls(tree):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", "")) == "Adam"
+    ]
+
+
+def test_nn_train_is_the_only_code_that_builds_an_optimizer():
+    # one training loop: a second Adam(...) in the package is a second loop
+    src = ROOT / "src" / "traceweights"
+    calls = {p.stem: len(_adam_calls(ast.parse(p.read_text()))) for p in src.glob("*.py")}
+    assert {module: n for module, n in calls.items() if n} == {"nn": 1}
+    train = next(
+        node
+        for node in ast.parse((src / "nn.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "train"
+    )
+    assert len(_adam_calls(train)) == 1
