@@ -3,7 +3,8 @@
 Each write goes to ``<name>.tmp`` beside the target and is ``os.replace``d
 into place, so a process that dies mid-write leaves the old file or the
 new one whole, and no temp file.  No fsync: a crashed process is guarded
-against, not a lost machine.
+against, not a lost machine.  A JSON document's ``config_digest`` stamp
+is compared here, by ``read_json``, and nowhere else.
 """
 
 from __future__ import annotations
@@ -44,8 +45,15 @@ def write_array(path, array, dtype) -> None:
     _write(path, lambda f: np.asarray(array, dtype=dtype).tofile(f))
 
 
-def read_json(path):
-    return json.loads(Path(path).read_text())
+def read_json(path, config_digest=None):
+    """The document at ``path``; with a ``config_digest``, ValueError unless it carries that stamp."""
+    doc = json.loads(Path(path).read_text())
+    if config_digest is not None and doc.get("config_digest") != config_digest:
+        raise ValueError(
+            f"{path}: written under config digest {doc.get('config_digest')}, "
+            f"but the reading config's digest is {config_digest}"
+        )
+    return doc
 
 
 def read_array(path, dtype, shape) -> np.ndarray:

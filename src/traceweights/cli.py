@@ -163,9 +163,7 @@ def _cmd_extract(args) -> int:
             raise ValidationError(
                 f"--trace-index {args.trace_index} is outside {args.trace}'s {len(traces)} rows"
             )
-        matrix = translate_trace(
-            traces[args.trace_index].astype("float64"), phase1, pipe.topology
-        )
+        matrix = translate_trace(traces[args.trace_index], phase1, pipe.topology)
     stamps = {"config_digest": run_cfg.digest, "fixed_digest": phase1.fixed.digest}
     write_json(out / "extracted_matrix.json", {**matrix.to_json_dict(), **stamps})
     _log("extract", f"rows={matrix.rows} cols={matrix.cols} out={out}")

@@ -290,11 +290,14 @@ def write_dataset(path, ds: Dataset, meta: Optional[dict] = None) -> None:
 
 
 def read_dataset(path) -> Dataset:
+    """``write_dataset``'s container; ValueError if a feature cell is not finite."""
     d = Path(path)
     meta = read_json(d / "data.json")
     n, dim = int(meta["n"]), int(meta["d"])
     raw = read_array(d / "data.f32", "<f4", (n * dim + n,))
     x = raw[: n * dim].reshape(n, dim).astype(np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{d / 'data.f32'}: a feature cell is not a finite number")
     y = raw[n * dim :].astype(np.int64)
     return Dataset(
         x=x,

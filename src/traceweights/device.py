@@ -128,8 +128,9 @@ def simulate_trace(
     """One quantized power trace of inference on ``fixed_input``.
 
     Sample count is total_macs(topology) * samples_per_mac.  The noise
-    seed defaults to cfg.rng_seed; batch simulations pass
-    cfg.rng_seed XOR pair_index so pair order cannot matter.
+    seed defaults to cfg.rng_seed; ``pipeline.prepare_pairs`` passes
+    derive_seed(master, "phase1", iteration, "device") XOR pair_index,
+    so pair order cannot matter.
     """
     coeffs, operands = _mac_streams(model, fixed_input)
     hw_c = hamming_weight(

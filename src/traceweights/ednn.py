@@ -30,11 +30,9 @@ from .nn import (
     ConvTranspose1D,
     Dense,
     Dropout,
-    Flatten,
     ParamLayer,
     ReLU,
-    ReshapeToMatrix,
-    ReshapeToSignal,
+    Reshape,
     TrainConfig,
     forward,
     mse_loss,
@@ -110,7 +108,7 @@ def _ednn(input_len, output_shape, scale, flat, rng) -> EdnnModel:
         raise ValueError(f"bad output shape {(rows, cols)}")
     widths = _SCALES[scale]
 
-    layers: list = [Dense(input_len, widths["dense"], None), ReLU(), ReshapeToSignal()]
+    layers: list = [Dense(input_len, widths["dense"], None), ReLU(), Reshape(1, -1)]
     length = widths["dense"]
     c_prev = 1
     for c_out, k in zip(widths["conv"], _CONV_KERNELS):
@@ -121,7 +119,7 @@ def _ednn(input_len, output_shape, scale, flat, rng) -> EdnnModel:
         layers += [ConvTranspose1D(c_prev, c_out, k, None), ReLU(), Dropout(_DROPOUT)]
         length = ConvTranspose1D.out_len(length, k)
         c_prev = c_out
-    layers += [Flatten(), Dense(c_prev * length, rows * cols, None), ReshapeToMatrix(rows, cols)]
+    layers += [Reshape(-1), Dense(c_prev * length, rows * cols, None), Reshape(rows, cols)]
     owners = [layer for layer in layers if isinstance(layer, ParamLayer)]
     size = sum(layer.size for layer in owners)
     if flat is None:

@@ -64,13 +64,6 @@ class MlpModel:
         self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
         self.weights, self.biases = _layer_views(self.flat, self.topology)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.topology, self.weights, self.biases)
-
-    @property
-    def n_classes(self) -> int:
-        return 2 if self.topology[-1] == 1 else self.topology[-1]
-
 
 def validate_topology(topology: Sequence[int]) -> tuple[int, ...]:
     topo = tuple(int(t) for t in topology)

@@ -8,7 +8,7 @@ checked against central finite differences in the test suite.  The EDNN
 is built from these layers, and so is every MLP (see ``mlp.py``):
 ``Dense`` works on the last two axes, so one layer whose weight has a
 leading stack axis trains S same-topology models in step on an (S, n, f)
-batch.
+batch.  ``Reshape`` is the one layer that changes a sample's shape.
 
 Training.  ``train`` is the one training loop: Adam on shuffled
 mini-batches of the caller's layers and loss, under the validation
@@ -57,9 +57,7 @@ __all__ = [
     "ConvTranspose1D",
     "ReLU",
     "Dropout",
-    "Flatten",
-    "ReshapeToSignal",
-    "ReshapeToMatrix",
+    "Reshape",
 ]
 
 
@@ -520,56 +518,29 @@ class Dropout:
         return np.multiply(dout, self._mask, out=dout)
 
 
-class Flatten:
-    params: list = []
-    grad_params: list = []
-
-    def __init__(self):
-        self._shape = None
-
-    def forward(self, x, train=False, rng=None):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dout):
-        return dout.reshape(self._shape)
-
-
-class ReshapeToSignal:
-    """(n, f) -> (n, 1, f): a one-channel signal."""
+class Reshape:
+    """(n, ...) -> (n, *shape): each sample reshaped; a -1 in ``shape`` is inferred."""
 
     params: list = []
     grad_params: list = []
 
-    def forward(self, x, train=False, rng=None):
-        return x.reshape(x.shape[0], 1, x.shape[1])
-
-    def backward(self, dout):
-        return dout.reshape(dout.shape[0], -1)
-
-
-class ReshapeToMatrix:
-    """(n, rows * cols) -> (n, rows, cols)."""
-
-    params: list = []
-    grad_params: list = []
-
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, *shape):
+        self.shape = shape
+        self._in_shape = None
 
     def forward(self, x, train=False, rng=None):
-        return x.reshape(x.shape[0], self.rows, self.cols)
+        self._in_shape = x.shape
+        return x.reshape(x.shape[0], *self.shape)
 
     def backward(self, dout):
-        return dout.reshape(dout.shape[0], self.rows * self.cols)
+        return dout.reshape(self._in_shape)
 
 
 class DivergenceError(NumericalError):
-    """A training loss went non-finite in 1-based epoch ``epoch``."""
+    """A training loss or parameter went non-finite in 1-based epoch ``epoch``."""
 
     def __init__(self, epoch: int):
-        super().__init__(f"training diverged at epoch {epoch}: loss is not finite")
+        super().__init__(f"training diverged at epoch {epoch}: loss or parameters not finite")
         self.epoch = epoch
 
 
@@ -625,12 +596,13 @@ def train(layers, flat, grad, x, loss, cfgs, train_score=None, val_score=None, t
     its own generator what it would alone: a permutation per epoch, then
     each batch's dropout draws.  ``loss(out, idx)`` gives batch ``idx``'s
     mean loss per model and its gradient for the layers' output; a
-    non-finite loss raises ``DivergenceError``.  Per epoch, ``train_score()``
-    is recorded as ``train_acc``, and ``val_score()`` (one model only) as
-    ``val_acc``.  The latter drives the schedule: lr halves after
-    ``lr_halve_after`` epochs without a new best, training stops after
-    ``early_stop_patience`` of them or once the score reaches ``target``,
-    and ``restore_best`` ends on the best epoch's parameters.
+    non-finite loss, or non-finite parameters after an epoch, raise
+    ``DivergenceError``.  Per epoch, ``train_score()`` is recorded as
+    ``train_acc``, and ``val_score()`` (one model only) as ``val_acc``.
+    The latter drives the schedule: lr halves after ``lr_halve_after``
+    epochs without a new best, training stops after ``early_stop_patience``
+    of them or once the score reaches ``target``, and ``restore_best``
+    ends on the best epoch's parameters.
     """
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
@@ -656,6 +628,8 @@ def train(layers, flat, grad, x, loss, cfgs, train_score=None, val_score=None, t
             backprop(layers, dout)
             opt.step([flat], [grad])
             epoch_loss += loss_val * idx.shape[-1]
+        if not np.isfinite(flat).all():  # a finite loss can still step an infinite gradient
+            raise DivergenceError(epoch)
         for h, loss_s in zip(hists, np.atleast_1d(epoch_loss / n)):
             h.train_loss.append(float(loss_s))
             h.stopped_epoch = epoch

@@ -167,8 +167,8 @@ def attacker_data(cfg: PipelineConfig) -> tuple[list[Dataset], FixedInput]:
 
 @dataclass
 class TracePairs:
-    traces: np.ndarray        # (n, trace_len)
-    matrices: np.ndarray      # (n, rows, cols)
+    traces: np.ndarray        # (n, trace_len) float32, as the containers store them
+    matrices: np.ndarray      # (n, rows, cols) float32
     chunk_of: np.ndarray      # (n,) chunk index per pair
     surrogate_train_acc: np.ndarray  # (n,)
     fixed_digest: str
@@ -176,11 +176,6 @@ class TracePairs:
     @property
     def n(self) -> int:
         return int(self.traces.shape[0])
-
-
-def _f32_exact(a: np.ndarray) -> np.ndarray:
-    # keep in-memory values identical to the float32 the containers store
-    return a.astype(np.float32).astype(np.float64)
 
 
 def prepare_pairs(
@@ -198,7 +193,6 @@ def prepare_pairs(
     iteration, so pairs are independent of the order they are simulated
     in.  Surrogate training quality is recorded, not gated.
     """
-    rows, cols = matrix_shape(cfg.topology)
     device_base = derive_seed(cfg.master_seed, "phase1", iteration, "device")
     traces, matrices, chunk_of, accs = [], [], [], []
     pair_index = 0
@@ -230,8 +224,8 @@ def prepare_pairs(
                 f"mean_surrogate_acc={float(np.mean(accs)):.3f}"
             )
     return TracePairs(
-        traces=_f32_exact(np.asarray(traces)),
-        matrices=_f32_exact(np.asarray(matrices)),
+        traces=np.asarray(traces, np.float32),
+        matrices=np.asarray(matrices, np.float32),
         chunk_of=np.asarray(chunk_of, dtype=np.int64),
         surrogate_train_acc=np.asarray(accs, dtype=np.float64),
         fixed_digest=fixed.digest,
@@ -301,37 +295,31 @@ class Translator:
         """(n, trace_len) raw traces to (n, rows, cols) matrices."""
         return predict_weights(self.ednn, self.scaler.apply(pca_transform(self.pca, traces)))
 
-    def write(self, run_dir, meta: dict) -> None:
-        """The five files; ``meta`` heads ednn.json, and its config_digest stamps the rest."""
+    def write(self, run_dir, config_digest: str, meta: dict) -> None:
+        """The five files, each JSON one stamped with ``config_digest``; ``meta`` heads ednn.json."""
         d, pca, sd, ednn = Path(run_dir), self.pca, self.scaler, self.ednn
-        stamp = {"config_digest": meta["config_digest"]}
+        stamp = {"config_digest": config_digest}
         write_array(d / "pca.f64", np.concatenate([pca.mean[None, :], pca.components]), "<f8")
         pca_meta = {"k": pca.k, "length": pca.length, "eigenvalues": pca.eigenvalues.tolist()}
         write_json(d / "pca.json", {**stamp, **pca_meta})
         scaler = {"mean": sd.mean.tolist(), "std": sd.std.tolist()}
         write_json(d / "pca_scaler.json", {**stamp, **scaler})
-        ednn_meta = {**meta, "scale": ednn.scale, "input_len": ednn.input_len, "rows": ednn.rows,
-                     "cols": ednn.cols, "param_count": ednn.flat.size}
+        ednn_meta = {**meta, **stamp, "scale": ednn.scale, "input_len": ednn.input_len,
+                     "rows": ednn.rows, "cols": ednn.cols, "param_count": ednn.flat.size}
         write_json(d / "ednn.json", ednn_meta)
         write_array(d / "ednn.f32", ednn.flat, "<f4")
 
     @classmethod
-    def read(cls, run_dir) -> tuple[Translator, dict]:
+    def read(cls, run_dir, config_digest: str) -> tuple[Translator, dict]:
         """The translator ``write`` left in ``run_dir``, and ednn.json's meta.
 
         Raises ValueError when a binary file's size disagrees with its
-        header, or when pca.json or pca_scaler.json carries another config
-        digest than ednn.json (files of two runs mixed in one directory).
+        header, or when a JSON file was written under another config than
+        the one with ``config_digest``.
         """
         d = Path(run_dir)
         names = ("ednn.json", "pca.json", "pca_scaler.json")
-        meta, pca_meta, sd = (read_json(d / name) for name in names)
-        for name, doc in (("pca.json", pca_meta), ("pca_scaler.json", sd)):
-            if doc.get("config_digest") != meta.get("config_digest"):
-                raise ValueError(
-                    f"{d / name}: written under config digest {doc.get('config_digest')}, "
-                    f"ednn.json under {meta.get('config_digest')}"
-                )
+        meta, pca_meta, sd = (read_json(d / name, config_digest) for name in names)
         block = read_array(d / "pca.f64", "<f8", (int(pca_meta["k"]) + 1, int(pca_meta["length"])))
         eigenvalues = np.asarray(pca_meta["eigenvalues"], dtype=np.float64)
         pca = PcaModel(mean=block[0], components=block[1:], eigenvalues=eigenvalues)
@@ -456,7 +444,7 @@ def translate_trace(
     samples: np.ndarray, phase1: Phase1Result, topology: tuple[int, ...]
 ) -> WeightsMatrix:
     """One raw trace through the fitted translator."""
-    samples = _f32_exact(np.asarray(samples, dtype=np.float64)[None, :])
+    samples = np.asarray(samples, np.float32)[None, :]
     length = phase1.translator.pca.length
     if samples.shape[1] != length:
         raise ValueError(
@@ -514,19 +502,8 @@ def load_phase1(run_dir, config_digest: str) -> Phase1Result:
     written under another config than the one with ``config_digest``.
     """
     run = Path(run_dir)
-    fixed_raw = read_json(run / "fixed_input.json")
-    translator, meta = Translator.read(run)
-    # Translator.read has matched the other translator files' stamps to ednn.json's
-    stamps = {
-        "fixed_input.json": fixed_raw.get("config_digest"),
-        "ednn.json": meta.get("config_digest"),
-    }
-    for name, stamp in stamps.items():
-        if stamp != config_digest:
-            raise ValueError(
-                f"{run / name}: written under config digest {stamp}, "
-                f"but the reading config's digest is {config_digest}"
-            )
+    fixed_raw = read_json(run / "fixed_input.json", config_digest)
+    translator, meta = Translator.read(run, config_digest)
     return Phase1Result(
         translator=translator,
         fixed=FixedInput(
@@ -567,4 +544,4 @@ def persist_phase1(out_dir, result: Phase1Result, config_digest: str) -> None:
     out = Path(out_dir)
     write_fixed_input(out, result.fixed, config_digest)
     write_pairs(out / "pairs", result.pairs, config_digest, splits=result.split_idx)
-    result.translator.write(out, {"config_digest": config_digest, **result.summary()})
+    result.translator.write(out, config_digest, result.summary())

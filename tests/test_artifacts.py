@@ -64,3 +64,15 @@ def test_read_array_rejects_a_file_that_does_not_fill_the_shape(tmp_path):
     assert os.path.getsize(path) == 22
     with pytest.raises(ValueError, match="short.f32"):
         read_array(path, "<f4", (5,))
+
+
+def test_read_json_with_a_digest_checks_the_stamp(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"config_digest": "abc", "k": 1})
+    assert read_json(path, "abc") == {"config_digest": "abc", "k": 1}
+    with pytest.raises(ValueError, match=r"doc.json: written under config digest abc, .* is xyz"):
+        read_json(path, "xyz")
+    write_json(path, {"k": 1})
+    assert read_json(path) == {"k": 1}
+    with pytest.raises(ValueError, match="config digest None"):
+        read_json(path, "abc")

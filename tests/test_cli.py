@@ -584,29 +584,29 @@ def test_finetune_epochs_override_zero_keeps_decoded_model(
     assert (out / "curves.csv").read_text() == "epoch,split,accuracy\n"
 
 
-def test_finetune_non_finite_data_exits_three(cli_root, tiny_cfg, extract_dir, data_dir, capsys):
+def test_finetune_non_finite_data_exits_two(cli_root, tiny_cfg, extract_dir, data_dir, capsys):
     ds = read_dataset(data_dir)
-    ds.x[:, 0] = np.inf  # in every row, so in the training split
+    ds.x[:, 0] = np.inf
     bad = cli_root / "data_inf"
     write_dataset(bad, ds)
-    with np.errstate(invalid="ignore", over="ignore"):
-        rc = main(
-            [
-                "finetune",
-                "--config",
-                tiny_cfg,
-                "--matrix",
-                str(extract_dir / "extracted_matrix.json"),
-                "--data",
-                str(bad),
-                "--out",
-                str(cli_root / "finetuned_inf"),
-            ]
-        )
-    assert rc == 3
+    rc = main(
+        [
+            "finetune",
+            "--config",
+            tiny_cfg,
+            "--matrix",
+            str(extract_dir / "extracted_matrix.json"),
+            "--data",
+            str(bad),
+            "--out",
+            str(cli_root / "finetuned_inf"),
+        ]
+    )
+    assert rc == 2
     err = capsys.readouterr().err
     assert "stage=finetune" in err
-    assert "error=DivergenceError" in err and "epoch 1" in err
+    assert "error=ValueError" in err and str(bad) in err and "not a finite number" in err
+    assert not (cli_root / "finetuned_inf").exists()
 
 
 def test_evaluate_prints_metrics(cli_root, tiny_cfg, victim_path, data_dir, capsys):

@@ -62,7 +62,7 @@ def test_single_coefficient_perturbation_is_local():
         # perturbation is confined to its own slot; values are chosen with
         # different Hamming weights so the samples must actually differ.
         model_a.weights[-1][1, 0] = 0.0
-        model_b = model_a.copy()
+        model_b = MlpModel(model_a.topology, model_a.weights, model_a.biases)
         model_b.weights[-1][1, 0] = 3.0 / 256.0
         x = rng.random(3)
         ta = simulate_trace(model_a, x, cfg).samples
@@ -81,7 +81,7 @@ def test_first_layer_perturbation_touches_only_that_slot_when_downstream_blind()
     cfg = DeviceConfig(noise_sigma=0.0, adc_hi=200.0)
     model_a = init_mlp([2, 2, 1], seed=3)
     model_a.weights[1][...] = 0.0
-    model_b = model_a.copy()
+    model_b = MlpModel(model_a.topology, model_a.weights, model_a.biases)
     model_b.weights[0][0, 0] = model_a.weights[0][0, 0] + 1.0
     x = np.array([0.0, 0.0])  # zero input: activations do not move either
     ta = simulate_trace(model_a, x, cfg).samples

@@ -41,6 +41,7 @@ from traceweights.nn import (
     DivergenceError,
     Dropout,
     ReLU,
+    Reshape,
     cross_entropy_from_probs,
     mse_loss,
     relu,
@@ -653,6 +654,18 @@ def test_dropout_same_seed_same_mask():
     assert np.array_equal(a, b)
 
 
+def test_reshape_round_trips_each_sample_and_its_gradient():
+    x = np.arange(24.0).reshape(2, 12)
+    for shape, out_shape in (((1, -1), (2, 1, 12)), ((3, 4), (2, 3, 4)), ((-1,), (2, 12))):
+        layer = Reshape(*shape)
+        out = layer.forward(x)
+        assert out.shape == out_shape and np.shares_memory(out, x)
+        assert np.array_equal(out.reshape(2, -1), x)
+        assert np.array_equal(layer.backward(out), x)
+    flatten = Reshape(-1)
+    assert flatten.backward(flatten.forward(x.reshape(2, 3, 4))).shape == (2, 3, 4)
+
+
 def test_dropout_rejects_rate_one():
     with pytest.raises(ValueError):
         Dropout(1.0)
@@ -719,6 +732,18 @@ def test_train_mlp_stops_on_a_non_finite_loss():
     assert err.value.epoch == 1
 
 
+def test_train_names_the_epoch_whose_finite_loss_stepped_an_infinite_gradient():
+    # the sigmoid saturates on the inf row, and the 1e-12 probability floor
+    # keeps epoch 1's loss finite while its gradient is not
+    x = np.random.default_rng(0).normal(size=(12, 3))
+    y = (x[:, 0] > 0).astype(int)
+    x[4, 0] = np.inf
+    model = init_mlp([3, 4, 1], seed=0)
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore", over="ignore"):
+        train_mlp(model, x, y, TrainConfig(epochs=3, batch_size=12, seed=0))
+    assert err.value.epoch == 1
+
+
 def test_train_mlp_is_deterministic():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(30, 3))
@@ -771,7 +796,7 @@ def test_stack_trains_bit_identical_to_one_model_at_a_time(stack, topo, dropout)
         for s in range(stack)
     ]
     alone = [init_mlp(topo, seed=20 + s) for s in range(stack)]
-    stacked = [m.copy() for m in alone]
+    stacked = [MlpModel(m.topology, m.weights, m.biases) for m in alone]
     hists_alone = [train_mlp(m, x, y, c) for m, c in zip(alone, cfgs)]
     hists_stack = train_mlp_stack(stacked, x, y, cfgs)
     assert len(hists_stack) == stack
@@ -996,12 +1021,3 @@ def test_every_mlp_constructor_packs_weights_into_flat():
         _assert_packed(m)
         assert np.array_equal(m.flat, model.flat)
     assert not np.shares_memory(matrix_to_coefficients(matrix, topo).flat, matrix.data)
-
-
-def test_mlp_copy_shares_no_memory():
-    model = init_mlp((4, 3, 2), seed=4)
-    dup = model.copy()
-    _assert_packed(dup)
-    assert np.array_equal(dup.flat, model.flat)
-    for a in [dup.flat, *dup.weights, *dup.biases]:
-        assert not np.shares_memory(a, model.flat)

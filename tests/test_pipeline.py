@@ -361,13 +361,13 @@ def _written_translator(run_dir):
         pca=pca,
         scaler=Standardizer.fit(pca_transform(pca, traces)),
     )
-    translator.write(run_dir, {"config_digest": "cfg123", "tag": "t"})
+    translator.write(run_dir, "cfg123", {"tag": "t"})
     return translator, traces
 
 
 def test_translator_read_then_write_reproduces_all_five_files(tmp_path):
     original, traces = _written_translator(tmp_path / "a")
-    back, meta = Translator.read(tmp_path / "a")
+    back, meta = Translator.read(tmp_path / "a", "cfg123")
     assert np.array_equal(back.pca.mean, original.pca.mean)
     assert np.array_equal(back.pca.components, original.pca.components)
     assert np.array_equal(back.pca.eigenvalues, original.pca.eigenvalues)
@@ -376,7 +376,7 @@ def test_translator_read_then_write_reproduces_all_five_files(tmp_path):
     assert np.array_equal(back.ednn.param_vector(), original.ednn.param_vector())
     assert np.array_equal(back.predict(traces), original.predict(traces))
     assert meta["rows"] == 2 and meta["cols"] == 3 and meta["tag"] == "t"
-    back.write(tmp_path / "b", meta)
+    back.write(tmp_path / "b", "cfg123", meta)
     for name in TRANSLATOR_FILES:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -387,4 +387,4 @@ def test_translator_read_rejects_truncated_binaries(tmp_path):
         _written_translator(run)
         (run / name).write_bytes((run / name).read_bytes()[:-8])
         with pytest.raises(ValueError):
-            Translator.read(run)
+            Translator.read(run, "cfg123")

@@ -1,5 +1,6 @@
 """Every script starts, every exported name resolves, every function the
-benchmark tracer patches still exists, and one loop does all training.
+benchmark tracer patches still exists, one loop does all training, and
+one module reads the config stamps of run-directory files.
 
 A script, an ``__all__`` entry or a tracer patch point that still names a
 removed function fails here instead of at its first real use.
@@ -74,3 +75,23 @@ def test_nn_train_is_the_only_code_that_builds_an_optimizer():
         if isinstance(node, ast.FunctionDef) and node.name == "train"
     )
     assert len(_adam_calls(train)) == 1
+
+
+def _stamp_reads(tree):
+    def is_key(node):
+        return isinstance(node, ast.Constant) and node.value == "config_digest"
+
+    return [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and is_key(node.slice))
+        or (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "get"
+            and node.args and is_key(node.args[0]))
+    ]
+
+
+def test_artifacts_is_the_only_module_that_reads_a_config_stamp():
+    # one stamp check: a second reader of "config_digest" is a second check
+    src = ROOT / "src" / "traceweights"
+    readers = {p.stem for p in src.glob("*.py") if _stamp_reads(ast.parse(p.read_text()))}
+    assert readers == {"artifacts"}
