@@ -33,12 +33,6 @@ def _log(stage: str, line: str) -> None:
     sys.stderr.flush()
 
 
-def _fail(stage: str, code: int, err: Exception) -> int:
-    kind = type(err).__name__
-    _log(stage, f"error={kind} detail={err}")
-    return code
-
-
 def _pin_threads(n: int) -> None:
     for var in (
         "OPENBLAS_NUM_THREADS",
@@ -50,20 +44,15 @@ def _pin_threads(n: int) -> None:
 
 
 def _load_config(args):
-    from .config import load_run_config, shipped_config_path
+    """The run config, and the pipeline of ``--task`` (the first when not given)."""
+    from .config import ValidationError, load_run_config, shipped_config_path
 
     path = args.config if args.config else shipped_config_path(args.scale)
-    return load_run_config(path, seed_override=args.seed)
-
-
-def _pick_pipeline(run_cfg, name):
-    from .config import ValidationError
-
-    if name is None:
-        return run_cfg.pipelines[0]
+    run_cfg = load_run_config(path, seed_override=args.seed)
+    name = getattr(args, "task", None)
     for p in run_cfg.pipelines:
-        if p.task.name == name:
-            return p
+        if name in (None, p.task.name):
+            return run_cfg, p
     have = [p.task.name for p in run_cfg.pipelines]
     raise ValidationError(f"no task named {name!r} in config; tasks: {have}")
 
@@ -74,26 +63,23 @@ def _write_config_copy(out: Path, run_cfg) -> None:
     write_json(out / "config.json", {**run_cfg.raw, "config_digest": run_cfg.digest})
 
 
-def _cmd_validate_config(args) -> int:
-    run_cfg = _load_config(args)
+def _cmd_validate_config(args, run_cfg, pipe) -> int:
     _log("validate-config", f"ok=true digest={run_cfg.digest} scale={run_cfg.scale}")
     print(json.dumps({"valid": True, "digest": run_cfg.digest}))
     return 0
 
 
-def _cmd_gen_data(args) -> int:
+def _cmd_gen_data(args, run_cfg, pipe) -> int:
     from .datasets import gen_synthetic, load_csv, write_dataset
     from .config import ValidationError
     from .seeding import derive_seed
 
-    run_cfg = _load_config(args)
     out = Path(args.out)
     if args.csv is not None:
         if args.label_column is None:
             raise ValidationError("--csv needs --label-column")
         ds = load_csv(args.csv, args.label_column)
     else:
-        pipe = _pick_pipeline(run_cfg, args.task)
         n = args.n if args.n is not None else pipe.pool_size
         ds = gen_synthetic(
             pipe.task, n, seed=derive_seed(run_cfg.master_seed, "gen-data", pipe.task.name)
@@ -103,12 +89,10 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_prepare_pairs(args) -> int:
+def _cmd_prepare_pairs(args, run_cfg, pipe) -> int:
     from .config import ValidationError
     from .pipeline import attacker_data, prepare_pairs, write_fixed_input, write_pairs
 
-    run_cfg = _load_config(args)
-    pipe = _pick_pipeline(run_cfg, args.task)
     out = Path(args.out)
     k = args.iteration
     if not 1 <= k <= pipe.chunks:
@@ -123,11 +107,9 @@ def _cmd_prepare_pairs(args) -> int:
     return 0
 
 
-def _cmd_train_ednn(args) -> int:
+def _cmd_train_ednn(args, run_cfg, pipe) -> int:
     from .pipeline import persist_phase1, run_phase1
 
-    run_cfg = _load_config(args)
-    pipe = _pick_pipeline(run_cfg, args.task)
     out = Path(args.out)
     result = run_phase1(pipe, log=lambda s: _log("train-ednn", s))
     _write_config_copy(out, run_cfg)
@@ -141,15 +123,13 @@ def _cmd_train_ednn(args) -> int:
     return 0
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args, run_cfg, pipe) -> int:
     from .artifacts import read_json, write_json
     from .config import ValidationError
     from .device import read_trace_container
     from .mlp import model_from_dict
     from .pipeline import load_phase1, run_phase2, translate_trace
 
-    run_cfg = _load_config(args)
-    pipe = _pick_pipeline(run_cfg, args.task)
     out = Path(args.out)
     phase1 = load_phase1(args.run, run_cfg.digest)
     if (args.model is None) == (args.trace is None):
@@ -170,7 +150,7 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _cmd_finetune(args) -> int:
+def _cmd_finetune(args, run_cfg, pipe) -> int:
     from dataclasses import replace
 
     from .artifacts import read_json, write_json, write_text
@@ -180,8 +160,6 @@ def _cmd_finetune(args) -> int:
     from .pipeline import run_phase3
     from .seeding import derive_seed
 
-    run_cfg = _load_config(args)
-    pipe = _pick_pipeline(run_cfg, args.task)
     out = Path(args.out)
     matrix = WeightsMatrix.from_json_dict(read_json(args.matrix))
     d_small = read_dataset(args.data)
@@ -204,13 +182,12 @@ def _cmd_finetune(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, run_cfg, pipe) -> int:
     from .artifacts import read_json, write_json
     from .datasets import read_dataset
     from .experiment import evaluate_model
     from .mlp import model_from_dict
 
-    run_cfg = _load_config(args)
     model = model_from_dict(read_json(args.model))
     ds = read_dataset(args.data)
     metrics = evaluate_model(model, ds)
@@ -222,10 +199,9 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args, run_cfg, pipe) -> int:
     from .experiment import run_experiment
 
-    run_cfg = _load_config(args)
     out = Path(args.out)
     _write_config_copy(out, run_cfg)
     run_experiment(
@@ -257,49 +233,48 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
-    def add(name, func, help_text, out_required=True, out_flag=True):
+    def add(name, func, help_text, task=True, out_required=True, out_flag=True):
         p = sub.add_parser(name, parents=[common], help=help_text, description=help_text)
         if out_flag:
             p.add_argument("--out", required=out_required, help="output directory")
+        if task:
+            p.add_argument("--task", help="task name from the config (default: first)")
         p.set_defaults(func=func)
         return p
 
     p = add("gen-data", _cmd_gen_data, "write a dataset container (synthetic task or CSV)")
-    p.add_argument("--task", help="task name from the config (default: first)")
     p.add_argument("--n", type=int, help="sample count (default: task pool size)")
     p.add_argument("--csv", help="convert a CSV file instead of generating")
     p.add_argument("--label-column", help="label column name for --csv")
 
     p = add("prepare-pairs", _cmd_prepare_pairs, "train surrogates and capture trace/matrix pairs")
-    p.add_argument("--task", help="task name from the config (default: first)")
     p.add_argument(
         "--iteration", type=int, default=1, help="outer iteration: how many chunks to use"
     )
 
-    p = add("train-ednn", _cmd_train_ednn, "run phase 1 and persist the run directory")
-    p.add_argument("--task", help="task name from the config (default: first)")
+    add("train-ednn", _cmd_train_ednn, "run phase 1 and persist the run directory")
 
     p = add("extract", _cmd_extract, "translate a victim model or captured trace into a matrix")
-    p.add_argument("--task", help="task name from the config (default: first)")
     p.add_argument("--run", required=True, help="phase-1 run directory")
     p.add_argument("--model", help="victim model JSON to trace and translate")
     p.add_argument("--trace", help="trace container to translate instead of --model")
     p.add_argument("--trace-index", type=int, default=0, help="row of --trace to use")
 
     p = add("finetune", _cmd_finetune, "decode a matrix and fine-tune on a small dataset")
-    p.add_argument("--task", help="task name from the config (default: first)")
     p.add_argument("--matrix", required=True, help="extracted_matrix.json path")
     p.add_argument("--data", required=True, help="small dataset container directory")
     p.add_argument("--epochs-max", type=int, help="override fine-tune epoch budget (0 = none)")
 
-    p = add("evaluate", _cmd_evaluate, "accuracy and F1 of a model on a dataset", out_required=False)
+    p = add("evaluate", _cmd_evaluate, "accuracy and F1 of a model on a dataset", task=False,
+            out_required=False)
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--data", required=True, help="dataset container directory")
 
-    add("experiment", _cmd_experiment, "full multi-seed comparison; writes report.json")
+    add("experiment", _cmd_experiment, "full multi-seed comparison; writes report.json",
+        task=False)
 
     add("validate-config", _cmd_validate_config, "check a config and print its digest",
-        out_flag=False)
+        task=False, out_flag=False)
 
     return parser
 
@@ -313,18 +288,14 @@ def main(argv=None) -> int:
         return 1
     _pin_threads(max(args.threads, 1))
 
-    from .config import ValidationError
     from .errors import NumericalError
 
-    stage = args.command
     try:
-        return args.func(args)
-    except NumericalError as e:
-        return _fail(stage, 3, e)
-    except ValidationError as e:
-        return _fail(stage, 2, e)
+        return args.func(args, *_load_config(args))
     except (ValueError, OSError, KeyError, IndexError) as e:
-        return _fail(stage, 2, e)
+        # ValidationError is a ValueError; a NumericalError is the math's failure, not the input's
+        _log(args.command, f"error={type(e).__name__} detail={e}")
+        return 3 if isinstance(e, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -162,6 +162,16 @@ class EdnnTrainConfig:
     tau: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.tau >= 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau!r}")
+        self.schedule()  # the rules every TrainConfig checks
+
+    def schedule(self) -> TrainConfig:
+        """``nn.train``'s settings for this translator run."""
+        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
+                           seed=self.seed)
+
 
 @dataclass
 class EdnnHistory:
@@ -182,10 +192,9 @@ def train_ednn(model: EdnnModel, x_train: np.ndarray, y_train: np.ndarray, cfg: 
     y_train = np.asarray(y_train, dtype=_DTYPE)
     if x_train.shape[0] != y_train.shape[0] or x_train.shape[0] == 0:
         raise ValueError("training pairs are empty or misaligned")
-    schedule = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed)
     (hist,) = train(
         model.layers, model.flat, model.flat_grad, x_train,
-        lambda pred, idx: mse_loss(pred, y_train[idx]), [schedule],
+        lambda pred, idx: mse_loss(pred, y_train[idx]), [cfg.schedule()],
         val_score=None if val is None else (
             lambda: ednn_accuracy(model.forward(val[0], train=False), val[1], cfg.tau, mask)),
         target=theta, log=log)

@@ -34,14 +34,6 @@ def accuracy_from_cm(cm: np.ndarray) -> float:
     return float(np.trace(cm) / total)
 
 
-def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def f1_score(cm: np.ndarray, average: str = "binary") -> float:
     """F1 from a confusion matrix.
 
@@ -50,22 +42,20 @@ def f1_score(cm: np.ndarray, average: str = "binary") -> float:
     with no predictions and no truth hits.
     """
     cm = np.asarray(cm, dtype=np.int64)
-    if average == "binary":
-        if cm.shape != (2, 2):
-            raise ValueError(f"binary F1 needs a 2x2 matrix, got {cm.shape}")
-        tp = int(cm[1, 1])
-        fp = int(cm[0, 1])
-        fn = int(cm[1, 0])
-        return _f1_from_counts(tp, fp, fn)
-    if average == "macro":
-        scores = []
-        for c in range(cm.shape[0]):
-            tp = int(cm[c, c])
-            fp = int(cm[:, c].sum() - tp)
-            fn = int(cm[c, :].sum() - tp)
-            scores.append(_f1_from_counts(tp, fp, fn))
-        return float(np.mean(scores))
-    raise ValueError(f"unknown averaging {average!r}")
+    if average not in ("binary", "macro"):
+        raise ValueError(f"unknown averaging {average!r}")
+    if average == "binary" and cm.shape != (2, 2):
+        raise ValueError(f"binary F1 needs a 2x2 matrix, got {cm.shape}")
+    scores = []
+    for c in range(cm.shape[0]):
+        tp = int(cm[c, c])
+        fp = int(cm[:, c].sum() - tp)
+        fn = int(cm[c, :].sum() - tp)
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        scores.append(0.0 if precision + recall == 0.0
+                      else 2.0 * precision * recall / (precision + recall))
+    return scores[1] if average == "binary" else float(np.mean(scores))
 
 
 def overfit_epoch(curve: Sequence[float], window: int = 5) -> Optional[int]:

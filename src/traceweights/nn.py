@@ -557,6 +557,21 @@ class TrainConfig:
     lr_halve_after: Optional[int] = None
     restore_best: bool = False
 
+    def __post_init__(self):
+        # plain comparisons only: train and prepare_pairs rebuild one per stacked model
+        for name, rule, ok in (
+            ("epochs", ">= 1", self.epochs >= 1),
+            ("batch_size", ">= 1", self.batch_size >= 1),
+            ("lr", "> 0", self.lr > 0),
+            ("dropout", "in [0, 1)", 0 <= self.dropout < 1),
+            ("early_stop_patience", "None or >= 1",
+             self.early_stop_patience is None or self.early_stop_patience >= 1),
+            ("lr_halve_after", "None or >= 1",
+             self.lr_halve_after is None or self.lr_halve_after >= 1),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class TrainHistory:

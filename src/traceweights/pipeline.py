@@ -93,10 +93,20 @@ class FinetuneConfig:
     val_frac: float = 0.2
     restore_best: bool = True
 
+    def __post_init__(self):
+        if self.epochs_max < 0:
+            raise ValueError(f"epochs_max must be >= 0 (0 = no fine-tune), got {self.epochs_max!r}")
+        if not 0 < self.val_frac < 1:
+            raise ValueError(f"val_frac must be in (0, 1), got {self.val_frac!r}")
+        self.train_config(0)  # the rules every TrainConfig checks
+
     def train_config(self, seed: int) -> TrainConfig:
-        """One fine-tune run's training settings; ``val_frac`` sets its split."""
+        """One fine-tune run's training settings; ``val_frac`` sets its split.
+
+        ``epochs_max`` 0 runs no fine-tune at all, so it checks as one epoch.
+        """
         return TrainConfig(
-            epochs=self.epochs_max,
+            epochs=max(self.epochs_max, 1),
             batch_size=self.batch_size,
             lr=self.lr,
             dropout=self.dropout,

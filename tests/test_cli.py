@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -193,6 +194,26 @@ def test_unknown_task_name_exits_two(tiny_cfg, tmp_path, capsys):
     )
     assert rc == 2
     assert "no task named" in capsys.readouterr().err
+
+
+def test_every_subcommand_with_task_checks_its_name(tiny_cfg, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    extra = {
+        "gen-data": ["--csv", str(tmp_path / "absent.csv"), "--label-column", "label"],
+        "prepare-pairs": [],
+        "train-ednn": [],
+        "extract": ["--run", out, "--model", out],
+        "finetune": ["--matrix", out, "--data", out],
+    }
+    for command, flags in extra.items():
+        argv = [command, "--config", tiny_cfg, "--task", "no-such-task", "--out", out, *flags]
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert f"stage={command} error=ValidationError" in err and "no task named" in err
+    for command in ("evaluate", "experiment", "validate-config"):
+        assert main([command, "--task", "binary-narrow"]) == 1, command
+    assert "unrecognized arguments: --task" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_data_writes_dataset_with_digest(data_dir, tiny_digest):
@@ -584,6 +605,29 @@ def test_finetune_epochs_override_zero_keeps_decoded_model(
     assert (out / "curves.csv").read_text() == "epoch,split,accuracy\n"
 
 
+def test_finetune_negative_epochs_max_exits_two(cli_root, tiny_cfg, extract_dir, data_dir, capsys):
+    out = cli_root / "finetuned_negative"
+    rc = main(
+        [
+            "finetune",
+            "--config",
+            tiny_cfg,
+            "--matrix",
+            str(extract_dir / "extracted_matrix.json"),
+            "--data",
+            str(data_dir),
+            "--epochs-max",
+            "-1",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage=finetune error=ValueError" in err and "epochs_max must be >= 0" in err
+    assert not out.exists()
+
+
 def test_finetune_non_finite_data_exits_two(cli_root, tiny_cfg, extract_dir, data_dir, capsys):
     ds = read_dataset(data_dir)
     ds.x[:, 0] = np.inf
@@ -655,6 +699,21 @@ def test_experiment_tiny_end_to_end(cli_root, tiny_cfg, tiny_digest, capsys):
     assert set(task["modes"]) == {"balanced"}
     assert len(task["modes"]["balanced"]["per_seed"]) == 2
     assert not list(out.rglob("*.tmp"))
+
+
+def test_experiment_at_two_threads_is_byte_identical_run_to_run(tiny_cfg, tmp_path):
+    # a fresh interpreter each: --threads pins BLAS only before numpy loads
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        argv = ["experiment", "--config", tiny_cfg, "--threads", "2", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "traceweights.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[1] and files[0]
+    differ = [f for f in files[0] if (outs[0] / f).read_bytes() != (outs[1] / f).read_bytes()]
+    assert not differ
 
 
 def test_no_writes_outside_out(cli_root, tiny_cfg, tmp_path, monkeypatch):

@@ -158,6 +158,24 @@ def test_semantic_errors_surface_as_validation_errors(tmp_path):
     bad2["phase1"] = {"theta": -0.5}
     with pytest.raises(ValidationError):
         load_run_config(_write(tmp_path, bad2, "b.json"))
+    # one case per schedule rule: nn.TrainConfig's, then FinetuneConfig's and EdnnTrainConfig's
+    for section, key, value in (
+        ({"phase1": {"surrogate": {"epochs": 0}}}, "epochs", 0),
+        ({"phase1": {"ednn": {"epochs": -3}}}, "epochs", -3),
+        ({"phase1": {"surrogate": {"batch_size": 0}}}, "batch_size", 0),
+        ({"phase1": {"ednn": {"lr": 0.0}}}, "lr", 0.0),
+        ({"experiment": {"target": {"dropout": 1.0}}}, "dropout", 1.0),
+        ({"finetune": {"early_stop_patience": 0}}, "early_stop_patience", 0),
+        ({"finetune": {"lr_halve_after": 0}}, "lr_halve_after", 0),
+        ({"finetune": {"epochs_max": -2}}, "epochs_max", -2),
+        ({"finetune": {"val_frac": 1.0}}, "val_frac", 1.0),
+        ({"phase1": {"ednn": {"tau": -0.1}}}, "tau", -0.1),
+    ):
+        with pytest.raises(ValidationError) as err:
+            load_run_config(_write(tmp_path, dict(MINIMAL, **section), "rule.json"))
+        assert f"{key} must be" in str(err.value) and f"got {value!r}" in str(err.value)
+    ok = dict(MINIMAL, finetune={"epochs_max": 0})  # 0 still means "no fine-tune"
+    assert load_run_config(_write(tmp_path, ok, "ok.json")).pipelines[0].finetune.epochs_max == 0
 
 
 # Each role's settings when a config leaves them out, written out by hand so a

@@ -1,6 +1,7 @@
 """Every script starts, every exported name resolves, every function the
-benchmark tracer patches still exists, one loop does all training, and
-one module reads the config stamps of run-directory files.
+benchmark tracer patches still exists, one loop does all training, one
+module reads the config stamps of run-directory files, and only the CLI's
+``main`` loads a config and picks the exit code.
 
 A script, an ``__all__`` entry or a tracer patch point that still names a
 removed function fails here instead of at its first real use.
@@ -95,3 +96,24 @@ def test_artifacts_is_the_only_module_that_reads_a_config_stamp():
     src = ROOT / "src" / "traceweights"
     readers = {p.stem for p in src.glob("*.py") if _stamp_reads(ast.parse(p.read_text()))}
     assert readers == {"artifacts"}
+
+
+def test_cli_main_alone_loads_the_config_and_sets_the_exit_code():
+    # one preamble: a handler that loads a config, or returns a code of its own, is a second one
+    tree = ast.parse((ROOT / "src" / "traceweights" / "cli.py").read_text())
+    handlers = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert len(handlers) == 8
+    found = [
+        f"{h.name}: {ast.unparse(node)}"
+        for h in handlers
+        for node in ast.walk(h)
+        if (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", ""))
+            in ("_load_config", "load_run_config"))
+        or (isinstance(node, ast.Return)
+            and not (isinstance(node.value, ast.Constant) and node.value.value == 0))
+    ]
+    assert not found
