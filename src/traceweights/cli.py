@@ -128,23 +128,23 @@ def _cmd_extract(args, run_cfg, pipe) -> int:
     from .config import ValidationError
     from .device import read_trace_container
     from .mlp import model_from_dict
-    from .pipeline import load_phase1, run_phase2, translate_trace
+    from .pipeline import Translator, run_phase2, translate_trace
 
     out = Path(args.out)
-    phase1 = load_phase1(args.run, run_cfg.digest)
+    translator, _ = Translator.read(args.run, run_cfg.digest)
     if (args.model is None) == (args.trace is None):
         raise ValidationError("need exactly one of --model or --trace")
     if args.model is not None:
         target = model_from_dict(read_json(args.model))
-        matrix = run_phase2(target, phase1, pipe)
+        matrix = run_phase2(target, translator, pipe)
     else:
         traces, _ = read_trace_container(args.trace)
         if not 0 <= args.trace_index < len(traces):
             raise ValidationError(
                 f"--trace-index {args.trace_index} is outside {args.trace}'s {len(traces)} rows"
             )
-        matrix = translate_trace(traces[args.trace_index], phase1, pipe.topology)
-    stamps = {"config_digest": run_cfg.digest, "fixed_digest": phase1.fixed.digest}
+        matrix = translate_trace(traces[args.trace_index], translator, pipe.topology)
+    stamps = {"config_digest": run_cfg.digest, "fixed_digest": translator.fixed.digest}
     write_json(out / "extracted_matrix.json", {**matrix.to_json_dict(), **stamps})
     _log("extract", f"rows={matrix.rows} cols={matrix.cols} out={out}")
     return 0

@@ -19,6 +19,7 @@ from .datasets import PRESETS, TaskSpec
 from .device import DeviceConfig
 from .ednn import EdnnTrainConfig
 from .experiment import TARGET_DEFAULTS, ExperimentConfig
+from .mlp import validate_topology
 from .pipeline import SURROGATE_DEFAULTS, FinetuneConfig, PipelineConfig
 from .seeding import digest_of
 
@@ -183,27 +184,37 @@ def _task_spec(entry: dict) -> TaskSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
+def _in(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a rule it breaks reported under ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"config: {section}: {e}") from None
+
+
 def _build(raw: dict) -> RunConfig:
-    device = DeviceConfig(**raw.get("device", {}))
+    device = _in("device", DeviceConfig, **raw.get("device", {}))
     p1 = dict(raw.get("phase1", {}))
-    sur = replace(SURROGATE_DEFAULTS, **p1.pop("surrogate", {}))
-    ednn = EdnnTrainConfig(**p1.pop("ednn", {}))
-    ft = FinetuneConfig(**raw.get("finetune", {}))
+    sur = _in("phase1.surrogate", replace, SURROGATE_DEFAULTS, **p1.pop("surrogate", {}))
+    ednn = _in("phase1.ednn", EdnnTrainConfig, **p1.pop("ednn", {}))
+    ft = _in("finetune", FinetuneConfig, **raw.get("finetune", {}))
     exp_raw = dict(raw.get("experiment", {}))
-    target = replace(TARGET_DEFAULTS, **exp_raw.pop("target", {}))
+    target = _in("experiment.target", replace, TARGET_DEFAULTS, **exp_raw.pop("target", {}))
     if "modes" in exp_raw:
         exp_raw["modes"] = tuple(exp_raw["modes"])
-    experiment = ExperimentConfig(target=target, **exp_raw)
+    experiment = _in("experiment", ExperimentConfig, target=target, **exp_raw)
 
     if "splits" in p1:
         p1["splits"] = tuple(p1["splits"])
     pipelines = []
-    for entry in raw["tasks"]:
-        spec = _task_spec(entry)
+    for i, entry in enumerate(raw["tasks"]):
+        spec = _in(f"tasks.{i}", _task_spec, entry)
         out = 1 if spec.n_classes == 2 else spec.n_classes
-        topology = (spec.n_features, *entry["hidden"], out)
+        topology = _in(f"tasks.{i}", validate_topology, (spec.n_features, *entry["hidden"], out))
         pipelines.append(
-            PipelineConfig(
+            _in(
+                "phase1",
+                PipelineConfig,
                 task=spec,
                 topology=topology,
                 device=device,
@@ -255,9 +266,4 @@ def load_run_config(path, seed_override=None) -> RunConfig:
     if seed_override is not None:
         raw = dict(raw)
         raw["master_seed"] = int(seed_override)
-    try:
-        return _build(raw)
-    except (TypeError, ValueError) as e:
-        if isinstance(e, ValidationError):
-            raise
-        raise ValidationError(f"config: {e}") from None
+    return _build(raw)

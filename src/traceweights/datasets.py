@@ -290,20 +290,23 @@ def write_dataset(path, ds: Dataset, meta: Optional[dict] = None) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """``write_dataset``'s container; ValueError if a feature cell is not finite."""
+    """``write_dataset``'s container; ValueError if a feature cell is not
+    finite or a label is not an integer in [0, n_classes)."""
     d = Path(path)
     meta = read_json(d / "data.json")
-    n, dim = int(meta["n"]), int(meta["d"])
+    n, dim, n_classes = int(meta["n"]), int(meta["d"]), int(meta["n_classes"])
     raw = read_array(d / "data.f32", "<f4", (n * dim + n,))
     x = raw[: n * dim].reshape(n, dim).astype(np.float64)
     if not np.isfinite(x).all():
         raise ValueError(f"{d / 'data.f32'}: a feature cell is not a finite number")
-    y = raw[n * dim :].astype(np.int64)
+    labels = raw[n * dim :]
+    if not np.isin(labels, np.arange(n_classes)).all():
+        raise ValueError(f"{d / 'data.f32'}: a label is not an integer in [0, {n_classes})")
     return Dataset(
         x=x,
-        y=y,
+        y=labels.astype(np.int64),
         name=meta["name"],
-        n_classes=int(meta["n_classes"]),
+        n_classes=n_classes,
         scaling=meta.get("scaling", {}),
         imbalance=meta.get("imbalance"),
     )

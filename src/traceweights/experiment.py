@@ -117,7 +117,7 @@ def _run_task(
             train_pool.y,
             replace(exp.target, seed=derive_seed(sm, "target-train")),
         )
-        matrix = run_phase2(target, phase1, cfg, seed=derive_seed(sm, "phase2-trace"))
+        matrix = run_phase2(target, phase1.translator, cfg, seed=derive_seed(sm, "phase2-trace"))
         metrics = {
             "init_only": evaluate_model(matrix_to_coefficients(matrix, cfg.topology), test_set),
             "target": evaluate_model(target, test_set),

@@ -226,10 +226,20 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(d) -> MlpModel:
+    """``model_to_dict``'s inverse; ValueError names a layer that does not fit the
+    topology or holds a coefficient that is not finite."""
     topo = validate_topology(d["topology"])
     weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
     biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
-    for i, (fan_in, fan_out) in enumerate(zip(topo[:-1], topo[1:])):
-        if weights[i].shape != (fan_in, fan_out) or biases[i].shape != (fan_out,):
+    layers = len(topo) - 1
+    if len(weights) != layers or len(biases) != layers:
+        raise ValueError(
+            f"layer {min(len(weights), len(biases), layers)}: {len(weights)} weight and "
+            f"{len(biases)} bias arrays for the {layers} layers of topology {topo}"
+        )
+    for i, (w, b, fan_in, fan_out) in enumerate(zip(weights, biases, topo[:-1], topo[1:])):
+        if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
             raise ValueError(f"layer {i} arrays do not match topology {topo}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {i} holds a coefficient that is not a finite number")
     return MlpModel(topo, weights, biases)

@@ -72,7 +72,6 @@ __all__ = [
     "run_phase3",
     "translate_trace",
     "persist_phase1",
-    "load_phase1",
     "write_fixed_input",
     "write_pairs",
 ]
@@ -256,15 +255,17 @@ def split_counts(n: int, splits: tuple[float, float, float]) -> tuple[int, int, 
 class Translator:
     """Raw traces to weights matrices: PCA, then standardize, then the EDNN.
 
+    ``fixed`` is the input every trace it translates was captured on.
     The EDNN keeps its parameters across ``fit`` calls (warm restarts);
     the PCA and standardizer are refit by each call.  ``write`` and
-    ``read`` own the run-directory files pca.f64 (mean then components,
-    little-endian float64), pca.json, pca_scaler.json, ednn.f32 (the
-    EDNN's float32 parameters, little-endian, layer by layer, weight before
-    bias, C order) and ednn.json.
+    ``read`` own the run-directory files fixed_input.json, pca.f64 (mean
+    then components, little-endian float64), pca.json, pca_scaler.json,
+    ednn.f32 (the EDNN's float32 parameters, little-endian, layer by layer,
+    weight before bias, C order) and ednn.json.
     """
 
     ednn: EdnnModel
+    fixed: FixedInput
     pca: Optional[PcaModel] = None
     scaler: Optional[Standardizer] = None
 
@@ -306,9 +307,10 @@ class Translator:
         return predict_weights(self.ednn, self.scaler.apply(pca_transform(self.pca, traces)))
 
     def write(self, run_dir, config_digest: str, meta: dict) -> None:
-        """The five files, each JSON one stamped with ``config_digest``; ``meta`` heads ednn.json."""
+        """The six files, each JSON one stamped with ``config_digest``; ``meta`` heads ednn.json."""
         d, pca, sd, ednn = Path(run_dir), self.pca, self.scaler, self.ednn
         stamp = {"config_digest": config_digest}
+        write_fixed_input(d, self.fixed, config_digest)
         write_array(d / "pca.f64", np.concatenate([pca.mean[None, :], pca.components]), "<f8")
         pca_meta = {"k": pca.k, "length": pca.length, "eigenvalues": pca.eigenvalues.tolist()}
         write_json(d / "pca.json", {**stamp, **pca_meta})
@@ -328,8 +330,8 @@ class Translator:
         the one with ``config_digest``.
         """
         d = Path(run_dir)
-        names = ("ednn.json", "pca.json", "pca_scaler.json")
-        meta, pca_meta, sd = (read_json(d / name, config_digest) for name in names)
+        names = ("fixed_input.json", "ednn.json", "pca.json", "pca_scaler.json")
+        fixed_doc, meta, pca_meta, sd = (read_json(d / name, config_digest) for name in names)
         block = read_array(d / "pca.f64", "<f8", (int(pca_meta["k"]) + 1, int(pca_meta["length"])))
         eigenvalues = np.asarray(pca_meta["eigenvalues"], dtype=np.float64)
         pca = PcaModel(mean=block[0], components=block[1:], eigenvalues=eigenvalues)
@@ -337,18 +339,20 @@ class Translator:
         flat = read_array(d / "ednn.f32", "<f4", (int(meta["param_count"]),))
         shape = (int(meta["rows"]), int(meta["cols"]))
         ednn = ednn_from_vector(int(meta["input_len"]), shape, meta["scale"], flat)
-        return cls(ednn=ednn, pca=pca, scaler=scaler), meta
+        fixed = FixedInput(np.asarray(fixed_doc["values"], np.float64), fixed_doc["digest"])
+        return cls(ednn=ednn, fixed=fixed, pca=pca, scaler=scaler), meta
 
 
 @dataclass
 class Phase1Result:
+    """A finished ``run_phase1``: the fitted translator, its history, the last pairs and split."""
+
     translator: Translator
-    fixed: FixedInput
     reached_theta: bool
     iterations: list[dict]
     final_val_accuracy: float
     test_accuracy: float
-    pairs: Optional[TracePairs]
+    pairs: TracePairs
     split_idx: dict
 
     # what report.json's phase1 block and ednn.json record of a run
@@ -373,15 +377,12 @@ def run_phase1(
             matrix_shape(cfg.topology),
             cfg.scale,
             seed=derive_seed(cfg.master_seed, "ednn-init"),
-        )
+        ),
+        fixed,
     )
     iterations: list[dict] = []
-    pairs = None
-    split_idx: dict = {}
     reached = False
-    val_acc = 0.0
-    test_acc = 0.0
-
+    # PipelineConfig holds chunks >= 1, so the loop binds every value the result reads
     for k in range(1, cfg.chunks + 1):
         pairs = prepare_pairs(chunks[:k], cfg, fixed, iteration=k, log=log)
         n_train, n_test, n_val = split_counts(pairs.n, cfg.splits)
@@ -417,7 +418,6 @@ def run_phase1(
 
     return Phase1Result(
         translator=translator,
-        fixed=fixed,
         reached_theta=reached,
         iterations=iterations,
         final_val_accuracy=val_acc,
@@ -429,33 +429,34 @@ def run_phase1(
 
 def run_phase2(
     target: MlpModel,
-    phase1: Phase1Result,
+    translator: Translator,
     cfg: PipelineConfig,
     seed: Optional[int] = None,
 ) -> WeightsMatrix:
-    """Capture one trace of the victim model and translate it.
+    """Capture one trace of the victim model on the translator's fixed input and translate it.
 
     The victim must share the pipeline topology, so its trace has the
-    length the translator was fit on.  The same fixed input is replayed,
-    asserted by digest.
+    length the translator was fit on.  The fixed input is checked against
+    its digest before it is replayed.
     """
     if tuple(target.topology) != tuple(cfg.topology):
         raise ValueError(
             f"victim topology {target.topology} does not match pipeline {cfg.topology}"
         )
-    if phase1.fixed.digest != digest_of(phase1.fixed.values.tolist()):
+    fixed = translator.fixed
+    if fixed.digest != digest_of(fixed.values.tolist()):
         raise ValueError("fixed input digest mismatch; phase-1 artifacts are corrupt")
     trace_seed = derive_seed(cfg.master_seed, "phase2", "device") if seed is None else seed
-    trace = simulate_trace(target, phase1.fixed.values, cfg.device, seed=trace_seed)
-    return translate_trace(trace.samples, phase1, cfg.topology)
+    trace = simulate_trace(target, fixed.values, cfg.device, seed=trace_seed)
+    return translate_trace(trace.samples, translator, cfg.topology)
 
 
 def translate_trace(
-    samples: np.ndarray, phase1: Phase1Result, topology: tuple[int, ...]
+    samples: np.ndarray, translator: Translator, topology: tuple[int, ...]
 ) -> WeightsMatrix:
     """One raw trace through the fitted translator."""
     samples = np.asarray(samples, np.float32)[None, :]
-    length = phase1.translator.pca.length
+    length = translator.pca.length
     if samples.shape[1] != length:
         raise ValueError(
             f"trace length {samples.shape[1]} violates topology "
@@ -463,7 +464,7 @@ def translate_trace(
         )
     rows, cols = matrix_shape(topology)
     return WeightsMatrix(
-        rows=rows, cols=cols, topology=tuple(topology), data=phase1.translator.predict(samples)[0]
+        rows=rows, cols=cols, topology=tuple(topology), data=translator.predict(samples)[0]
     )
 
 
@@ -503,29 +504,6 @@ def run_phase3(
     return start, hist
 
 
-def load_phase1(run_dir, config_digest: str) -> Phase1Result:
-    """Rehydrate persisted phase-1 artifacts for extraction.
-
-    Pair traces are not reloaded; the result carries everything phase 2
-    needs (the translator and the fixed input) plus the recorded history.
-    Raises ValueError when fixed_input.json or any translator file was
-    written under another config than the one with ``config_digest``.
-    """
-    run = Path(run_dir)
-    fixed_raw = read_json(run / "fixed_input.json", config_digest)
-    translator, meta = Translator.read(run, config_digest)
-    return Phase1Result(
-        translator=translator,
-        fixed=FixedInput(
-            values=np.asarray(fixed_raw["values"], dtype=np.float64),
-            digest=fixed_raw["digest"],
-        ),
-        pairs=None,
-        split_idx={},
-        **{key: meta[key] for key in Phase1Result.SUMMARY_KEYS},
-    )
-
-
 def write_fixed_input(out_dir, fixed: FixedInput, config_digest: str) -> None:
     doc = {"values": fixed.values.tolist(), "digest": fixed.digest, "config_digest": config_digest}
     write_json(Path(out_dir) / "fixed_input.json", doc)
@@ -550,8 +528,7 @@ def write_pairs(out_dir, pairs: TracePairs, config_digest: str, splits=None) -> 
 
 
 def persist_phase1(out_dir, result: Phase1Result, config_digest: str) -> None:
-    """Write the run-dir artifacts: fixed_input.json, pairs/ and the translator's files."""
+    """Write the run-dir artifacts: pairs/ and the translator's files."""
     out = Path(out_dir)
-    write_fixed_input(out, result.fixed, config_digest)
     write_pairs(out / "pairs", result.pairs, config_digest, splits=result.split_idx)
     result.translator.write(out, config_digest, result.summary())

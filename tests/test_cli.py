@@ -653,6 +653,67 @@ def test_finetune_non_finite_data_exits_two(cli_root, tiny_cfg, extract_dir, dat
     assert not (cli_root / "finetuned_inf").exists()
 
 
+@pytest.mark.parametrize("label", [7.0, 0.5, -1.0])
+def test_finetune_label_outside_the_classes_exits_two(
+    cli_root, tiny_cfg, extract_dir, data_dir, label, capsys
+):
+    ds = read_dataset(data_dir)
+    ds.y = ds.y.astype(np.float64)
+    ds.y[0] = label
+    bad = cli_root / f"data_label_{label}"
+    write_dataset(bad, ds)
+    out = cli_root / f"finetuned_label_{label}"
+    rc = main(
+        [
+            "finetune",
+            "--config",
+            tiny_cfg,
+            "--matrix",
+            str(extract_dir / "extracted_matrix.json"),
+            "--data",
+            str(bad),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage=finetune error=ValueError" in err
+    assert str(bad / "data.f32") in err and "not an integer in [0, 2)" in err
+    assert not out.exists()
+
+
+def _extra_layer(doc):
+    doc["weights"].append([[1.0]])
+    doc["biases"].append([0.0])
+
+
+def _nan_bias(doc):
+    doc["biases"][1][0] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "defect, detail",
+    [(_extra_layer, "layer 2: 3 weight and 3 bias arrays"), (_nan_bias, "layer 1 holds")],
+    ids=["extra_layer", "nan_bias"],
+)
+def test_model_that_does_not_fit_its_topology_exits_two(
+    cli_root, tiny_cfg, run_dir, victim_path, data_dir, defect, detail, capsys
+):
+    doc = json.loads(Path(victim_path).read_text())
+    defect(doc)
+    bad = cli_root / f"victim_{defect.__name__}.json"
+    bad.write_text(json.dumps(doc))
+    sources = {"evaluate": ["--data", str(data_dir)], "extract": ["--run", str(run_dir)]}
+    for command, source in sources.items():
+        out = cli_root / f"{command}{defect.__name__}"
+        rc = main([command, "--config", tiny_cfg, "--model", str(bad), *source, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"stage={command} error=ValueError" in err and detail in err
+        assert not out.exists()
+
+
 def test_evaluate_prints_metrics(cli_root, tiny_cfg, victim_path, data_dir, capsys):
     rc = main(
         ["evaluate", "--config", tiny_cfg, "--model", victim_path, "--data", str(data_dir)]

@@ -153,11 +153,16 @@ def test_semantic_errors_surface_as_validation_errors(tmp_path):
     bad["device"] = {"adc_bits": 20}
     with pytest.raises(ValidationError) as err:
         load_run_config(_write(tmp_path, bad))
-    assert "adc_bits" in str(err.value)
+    assert "config: device: " in str(err.value) and "adc_bits" in str(err.value)
     bad2 = dict(MINIMAL)
     bad2["phase1"] = {"theta": -0.5}
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         load_run_config(_write(tmp_path, bad2, "b.json"))
+    assert "config: phase1: theta must be" in str(err.value)
+    bad3 = dict(MINIMAL, tasks=[MINIMAL["tasks"][0], {"preset": "ternary", "hidden": [4, 0]}])
+    with pytest.raises(ValidationError) as err:
+        load_run_config(_write(tmp_path, bad3, "c.json"))
+    assert "config: tasks.1: topology layer sizes must be positive" in str(err.value)
     # one case per schedule rule: nn.TrainConfig's, then FinetuneConfig's and EdnnTrainConfig's
     for section, key, value in (
         ({"phase1": {"surrogate": {"epochs": 0}}}, "epochs", 0),
@@ -173,7 +178,12 @@ def test_semantic_errors_surface_as_validation_errors(tmp_path):
     ):
         with pytest.raises(ValidationError) as err:
             load_run_config(_write(tmp_path, dict(MINIMAL, **section), "rule.json"))
-        assert f"{key} must be" in str(err.value) and f"got {value!r}" in str(err.value)
+        path, node = [], section
+        while key not in node:
+            (name, node), = node.items()
+            path.append(name)
+        message = f"config: {'.'.join(path)}: {key} must be"
+        assert message in str(err.value) and f"got {value!r}" in str(err.value)
     ok = dict(MINIMAL, finetune={"epochs_max": 0})  # 0 still means "no fine-tune"
     assert load_run_config(_write(tmp_path, ok, "ok.json")).pipelines[0].finetune.epochs_max == 0
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from traceweights.codec import coefficients_to_matrix, nonpad_mask
 from traceweights.device import (
     DeviceConfig,
     fixed_point_code,
@@ -118,6 +119,14 @@ def test_mac_order_layer_neuron_coefficient_bias_last():
     assert list(coeffs) == [11.0, 12.0, 10.0, 21.0, 22.0, 20.0, 31.0, 32.0, 30.0]
     a = relu(x @ w1 + b1)
     assert list(operands) == [0.5, 0.25, 0.0, 0.5, 0.25, 0.0, a[0], a[1], 0.0]
+    # device slot i is codec non-pad cell i, over every layer and every bias
+    rng = np.random.default_rng(41)
+    for trial in range(50):
+        topo = tuple(int(t) for t in rng.integers(1, 9, size=rng.integers(2, 6)))
+        model = init_mlp(topo, seed=trial)
+        coeffs, _ = _mac_streams(model, rng.random(topo[0]))
+        cells = coefficients_to_matrix(model).data[nonpad_mask(topo)]
+        assert np.array_equal(coeffs, cells), topo
 
 
 def test_hamming_weight_of_fixed_point_codes():

@@ -23,7 +23,7 @@ from traceweights.nn import (
     backprop,
     mse_loss,
 )
-from traceweights.pipeline import Translator
+from traceweights.pipeline import Translator, make_fixed_input
 from traceweights.reduction import Standardizer, pca_fit, pca_transform
 
 
@@ -356,7 +356,8 @@ def _write_through_translator(run_dir, model):
     traces = np.random.default_rng(33).normal(size=(model.input_len + 4, model.input_len + 5))
     pca = pca_fit(traces, model.input_len)
     scaler = Standardizer.fit(pca_transform(pca, traces))
-    Translator(ednn=model, pca=pca, scaler=scaler).write(run_dir, "c", {})
+    fixed = make_fixed_input(3, master_seed=7)
+    Translator(ednn=model, fixed=fixed, pca=pca, scaler=scaler).write(run_dir, "c", {})
 
 
 def test_built_and_read_models_keep_layer_params_as_views(tmp_path):

@@ -18,7 +18,6 @@ from traceweights.pipeline import (
     FinetuneConfig,
     PipelineConfig,
     Translator,
-    load_phase1,
     make_fixed_input,
     persist_phase1,
     prepare_pairs,
@@ -201,13 +200,13 @@ def test_phase2_extraction_is_repeatable_and_checks_topology():
     cfg = tiny_config(theta=0.0)
     res = run_phase1(cfg)
     target = init_mlp(cfg.topology, seed=55)
-    m1 = run_phase2(target, res, cfg)
-    m2 = run_phase2(target, res, cfg)
+    m1 = run_phase2(target, res.translator, cfg)
+    m2 = run_phase2(target, res.translator, cfg)
     assert m1.data.tobytes() == m2.data.tobytes()
     assert (m1.rows, m1.cols) == matrix_shape(cfg.topology)
     wrong = init_mlp((3, 5, 1), seed=55)
     with pytest.raises(ValueError) as err:
-        run_phase2(wrong, res, cfg)
+        run_phase2(wrong, res.translator, cfg)
     assert "topology" in str(err.value)
 
 
@@ -223,16 +222,16 @@ def test_phase2_all_zero_target_noise_off_is_finite():
         w[...] = 0.0
     for b in zero.biases:
         b[...] = 0.0
-    matrix = run_phase2(zero, res, cfg)
+    matrix = run_phase2(zero, res.translator, cfg)
     assert np.all(np.isfinite(matrix.data))
 
 
 def test_phase2_detects_corrupt_fixed_input():
     cfg = tiny_config(theta=0.0)
     res = run_phase1(cfg)
-    res.fixed.values[0] += 0.5
+    res.translator.fixed.values[0] += 0.5
     with pytest.raises(ValueError) as err:
-        run_phase2(init_mlp(cfg.topology, seed=1), res, cfg)
+        run_phase2(init_mlp(cfg.topology, seed=1), res.translator, cfg)
     assert "digest" in str(err.value)
 
 
@@ -240,7 +239,7 @@ def test_translate_trace_rejects_length_mismatch():
     cfg = tiny_config(theta=0.0)
     res = run_phase1(cfg)
     with pytest.raises(ValueError):
-        translate_trace(np.zeros(22), res, cfg.topology)  # fitted length is 21
+        translate_trace(np.zeros(22), res.translator, cfg.topology)  # fitted length is 21
 
 
 def test_phase3_zero_epochs_returns_decoded_model_untouched():
@@ -335,21 +334,23 @@ def test_phase1_artifacts_round_trip_to_identical_extraction(tmp_path):
     cfg = tiny_config(theta=0.0)
     res = run_phase1(cfg)
     persist_phase1(tmp_path / "run", res, config_digest="cfg123")
-    back = load_phase1(tmp_path / "run", "cfg123")
-    assert back.fixed.digest == res.fixed.digest
-    assert np.array_equal(back.translator.ednn.param_vector(), res.translator.ednn.param_vector())
-    assert np.array_equal(back.translator.pca.components, res.translator.pca.components)
-    assert np.array_equal(back.translator.scaler.mean, res.translator.scaler.mean)
+    back, meta = Translator.read(tmp_path / "run", "cfg123")
+    assert back.fixed.digest == res.translator.fixed.digest
+    assert np.array_equal(back.ednn.param_vector(), res.translator.ednn.param_vector())
+    assert np.array_equal(back.pca.components, res.translator.pca.components)
+    assert np.array_equal(back.scaler.mean, res.translator.scaler.mean)
     target = init_mlp(cfg.topology, seed=77)
-    m_mem = run_phase2(target, res, cfg)
+    m_mem = run_phase2(target, res.translator, cfg)
     m_disk = run_phase2(target, back, cfg)
     assert m_mem.data.tobytes() == m_disk.data.tobytes()
     assert (tmp_path / "run" / "pairs" / "traces.f32").exists()
-    assert back.reached_theta == res.reached_theta
-    assert back.iterations == res.iterations
+    assert meta["reached_theta"] == res.reached_theta
+    assert meta["iterations"] == res.iterations
 
 
-TRANSLATOR_FILES = ("pca.f64", "pca.json", "pca_scaler.json", "ednn.f32", "ednn.json")
+TRANSLATOR_FILES = (
+    "fixed_input.json", "pca.f64", "pca.json", "pca_scaler.json", "ednn.f32", "ednn.json"
+)
 
 
 def _written_translator(run_dir):
@@ -358,6 +359,7 @@ def _written_translator(run_dir):
     pca = pca_fit(traces, 16)
     translator = Translator(
         ednn=build_ednn(16, (2, 3), "desk", seed=23),
+        fixed=make_fixed_input(3, master_seed=7),
         pca=pca,
         scaler=Standardizer.fit(pca_transform(pca, traces)),
     )
@@ -365,9 +367,11 @@ def _written_translator(run_dir):
     return translator, traces
 
 
-def test_translator_read_then_write_reproduces_all_five_files(tmp_path):
+def test_translator_read_then_write_reproduces_all_its_files(tmp_path):
     original, traces = _written_translator(tmp_path / "a")
     back, meta = Translator.read(tmp_path / "a", "cfg123")
+    assert np.array_equal(back.fixed.values, original.fixed.values)
+    assert back.fixed.digest == original.fixed.digest
     assert np.array_equal(back.pca.mean, original.pca.mean)
     assert np.array_equal(back.pca.components, original.pca.components)
     assert np.array_equal(back.pca.eigenvalues, original.pca.eigenvalues)

@@ -1,7 +1,8 @@
 """Every script starts, every exported name resolves, every function the
 benchmark tracer patches still exists, one loop does all training, one
-module reads the config stamps of run-directory files, and only the CLI's
-``main`` loads a config and picks the exit code.
+module reads the config stamps of run-directory files, only the CLI's
+``main`` loads a config and picks the exit code, and only ``run_phase1``
+builds a ``Phase1Result``.
 
 A script, an ``__all__`` entry or a tracer patch point that still names a
 removed function fails here instead of at its first real use.
@@ -117,3 +118,17 @@ def test_cli_main_alone_loads_the_config_and_sets_the_exit_code():
             and not (isinstance(node.value, ast.Constant) and node.value.value == 0))
     ]
     assert not found
+
+
+def test_run_phase1_alone_builds_a_phase1_result():
+    # a Phase1Result is a finished in-memory run; a run directory reads back as a Translator
+    src = ROOT / "src" / "traceweights"
+    builders = [
+        f"{p.stem}.{getattr(top, 'name', '<module>')}"
+        for p in sorted(src.glob("*.py"))
+        for top in ast.parse(p.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", "")) == "Phase1Result"
+    ]
+    assert builders == ["pipeline.run_phase1"]
