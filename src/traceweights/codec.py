@@ -54,12 +54,12 @@ class WeightsMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeightsMatrix":
-        return cls(
-            rows=int(d["rows"]),
-            cols=int(d["cols"]),
-            topology=tuple(d["topology"]),
-            data=np.asarray(d["data"], dtype=np.float64),
-        )
+        """``to_json_dict``'s inverse; ValueError when a cell is not a finite number."""
+        data = np.asarray(d["data"], dtype=np.float64)
+        if not np.isfinite(data).all():
+            raise ValueError("matrix holds a cell that is not a finite number")
+        return cls(rows=int(d["rows"]), cols=int(d["cols"]), topology=tuple(d["topology"]),
+                   data=data)
 
 
 def matrix_shape(topology: Sequence[int]) -> tuple[int, int]:

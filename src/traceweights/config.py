@@ -19,7 +19,7 @@ from .datasets import PRESETS, TaskSpec
 from .device import DeviceConfig
 from .ednn import EdnnTrainConfig
 from .experiment import TARGET_DEFAULTS, ExperimentConfig
-from .mlp import validate_topology
+from .mlp import head_width, validate_topology
 from .pipeline import SURROGATE_DEFAULTS, FinetuneConfig, PipelineConfig
 from .seeding import digest_of
 
@@ -209,8 +209,8 @@ def _build(raw: dict) -> RunConfig:
     pipelines = []
     for i, entry in enumerate(raw["tasks"]):
         spec = _in(f"tasks.{i}", _task_spec, entry)
-        out = 1 if spec.n_classes == 2 else spec.n_classes
-        topology = _in(f"tasks.{i}", validate_topology, (spec.n_features, *entry["hidden"], out))
+        topology = _in(f"tasks.{i}", validate_topology,
+                       (spec.n_features, *entry["hidden"], head_width(spec.n_classes)))
         pipelines.append(
             _in(
                 "phase1",

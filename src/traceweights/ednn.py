@@ -34,6 +34,7 @@ from .nn import (
     ReLU,
     Reshape,
     TrainConfig,
+    bind_layers,
     forward,
     mse_loss,
     train,
@@ -120,8 +121,7 @@ def _ednn(input_len, output_shape, scale, flat, rng) -> EdnnModel:
         length = ConvTranspose1D.out_len(length, k)
         c_prev = c_out
     layers += [Reshape(-1), Dense(c_prev * length, rows * cols, None), Reshape(rows, cols)]
-    owners = [layer for layer in layers if isinstance(layer, ParamLayer)]
-    size = sum(layer.size for layer in owners)
+    size = sum(layer.size for layer in layers if isinstance(layer, ParamLayer))
     if flat is None:
         flat = np.empty(size, _DTYPE)
     elif flat.shape != (size,):
@@ -129,10 +129,7 @@ def _ednn(input_len, output_shape, scale, flat, rng) -> EdnnModel:
     elif flat.dtype != _DTYPE:
         raise ValueError(f"checkpoint params are {flat.dtype}, the model's are {np.dtype(_DTYPE)}")
     flat_grad = np.zeros(size, _DTYPE)
-    at = 0
-    for layer in owners:
-        layer.bind(flat[at : at + layer.size], flat_grad[at : at + layer.size], rng)
-        at += layer.size
+    bind_layers(layers, flat, flat_grad, rng)
     return EdnnModel(layers=layers, input_len=input_len, rows=rows, cols=cols, scale=scale,
                      flat=flat, flat_grad=flat_grad)
 

@@ -26,7 +26,7 @@ from .artifacts import write_json, write_text
 from .codec import matrix_to_coefficients
 from .datasets import Dataset, gen_synthetic, sample_dsmall, stratified_split
 from .metrics import confusion_matrix, accuracy_from_cm, f1_score, overfit_epoch
-from .mlp import MlpModel, TrainConfig, init_mlp, predict_labels, train_mlp
+from .mlp import MlpModel, TrainConfig, check_fits, init_mlp, predict_labels, train_mlp
 from .pipeline import (
     PipelineConfig,
     persist_phase1,
@@ -76,6 +76,7 @@ class ExperimentConfig:
 
 def evaluate_model(model: MlpModel, test: Dataset) -> dict:
     """Accuracy plus F1 (binary for 2 classes, macro otherwise)."""
+    check_fits(model.topology, test.d, test.n_classes, f"dataset {test.name!r}")
     cm = confusion_matrix(test.y, predict_labels(model, test.x), test.n_classes)
     avg = "binary" if test.n_classes == 2 else "macro"
     return {"accuracy": accuracy_from_cm(cm), "f1": f1_score(cm, avg)}

@@ -21,7 +21,7 @@ from .nn import (
     ReLU,
     TrainConfig,
     TrainHistory,
-    backprop,
+    bind_layers,
     cross_entropy_from_probs,
     forward,
     sigmoid,
@@ -33,9 +33,10 @@ __all__ = [
     "MlpModel",
     "TrainConfig",
     "TrainHistory",
+    "check_fits",
+    "head_width",
     "init_mlp",
     "mlp_forward",
-    "mlp_backward",
     "predict_labels",
     "model_accuracy",
     "train_mlp",
@@ -50,8 +51,8 @@ class MlpModel:
     """Topology plus per-layer weight (fan_in, fan_out) and bias arrays.
 
     Construction copies the arrays into one vector, ``flat``, and keeps
-    ``weights``/``biases`` as views into it: layer by layer, weight
-    before bias, each in C order.
+    ``weights``/``biases`` as the ``w``/``b`` of Dense layers bound to it:
+    layer by layer, weight before bias, each in C order.
     """
 
     topology: tuple[int, ...]
@@ -62,7 +63,8 @@ class MlpModel:
     def __post_init__(self):
         arrays = [a for wb in zip(self.weights, self.biases) for a in wb]
         self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        self.weights, self.biases = _layer_views(self.flat, self.topology)
+        dense = _dense_layers(self.flat, self.topology)
+        self.weights, self.biases = [d.w for d in dense], [d.b for d in dense]
 
 
 def validate_topology(topology: Sequence[int]) -> tuple[int, ...]:
@@ -74,51 +76,49 @@ def validate_topology(topology: Sequence[int]) -> tuple[int, ...]:
     return topo
 
 
+def head_width(n_classes: int) -> int:
+    """Output units for ``n_classes`` classes: one sigmoid unit for two, else a softmax row."""
+    return 1 if n_classes == 2 else n_classes
+
+
+def check_fits(topology, n_features, n_classes, what):
+    """ValueError naming ``what`` (data) unless a ``topology`` model reads its features
+    and has the head of its classes."""
+    if topology[0] != n_features:
+        raise ValueError(f"{what} has {n_features} features, topology {topology} reads "
+                         f"{topology[0]}")
+    if topology[-1] != head_width(n_classes):
+        raise ValueError(f"{what} has {n_classes} classes, which need a "
+                         f"{head_width(n_classes)}-unit head; topology {topology} has "
+                         f"{topology[-1]}")
+
+
 def init_mlp(topology: Sequence[int], seed: int) -> MlpModel:
     """Fresh model, every layer uniform in +-sqrt(1/fan_in)."""
     topo = validate_topology(topology)
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(topo[:-1], topo[1:]):
-        bound = np.sqrt(1.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=(fan_out,)))
-    return MlpModel(topo, weights, biases)
+    flat = np.empty(sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(topo, topo[1:])))
+    dense = _dense_layers(flat, topo, rng=np.random.default_rng(seed))
+    return MlpModel(topo, [d.w for d in dense], [d.b for d in dense])
 
 
-def _layer_views(flat, topology):
-    """Per-layer weight and bias views of one model's vector or a stack's block.
+def _dense_layers(flat, topology, grad=None, rng=None):
+    """One Dense per layer, laid over ``flat`` and ``grad`` by ``nn.bind_layers``.
 
-    ``flat`` is a (P,) vector laid out as ``MlpModel.flat`` or an (S, P)
-    block of S such rows.  Weights come out (..., fan_in, fan_out) and
-    biases (..., fan_out).
+    ``flat`` is one model's vector or a stack's (S, P) block; without
+    ``grad`` the layers run forward only.  An ``rng`` draws the init into
+    ``flat``.
     """
-    lead = flat.shape[:-1]
-    weights, biases = [], []
-    at = 0
-    for fan_in, fan_out in zip(topology[:-1], topology[1:]):
-        weights.append(flat[..., at : at + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
-        at += fan_in * fan_out
-        biases.append(flat[..., at : at + fan_out])
-        at += fan_out
-    return weights, biases
+    layers = [Dense(fan_in, fan_out, None) for fan_in, fan_out in zip(topology, topology[1:])]
+    bind_layers(layers, flat, grad, rng)
+    return layers
 
 
 def _network(flat, topology, grad=None, dropout=0.0):
-    """Dense layers over ``_layer_views`` of ``flat`` and ``grad``, ReLU and Dropout between.
-
-    Without ``grad`` the layers run forward only; the head is ``_head``'s.
-    """
-    weights, biases = _layer_views(flat, topology)
-    none = [None] * len(weights)
-    grad_w, grad_b = (none, none) if grad is None else _layer_views(grad, topology)
-    layers = []
-    for w, b, gw, gb in zip(weights, biases, grad_w, grad_b):
-        if layers:
-            layers += [ReLU(), Dropout(dropout)]
-        dense = Dense(w.shape[-2], w.shape[-1], None)
-        dense.adopt(w, b, gw, gb)
-        layers.append(dense)
+    """``_dense_layers`` with ReLU and Dropout between; the head is ``_head``'s."""
+    dense = _dense_layers(flat, topology, grad)
+    layers = dense[:1]
+    for layer in dense[1:]:
+        layers += [ReLU(), Dropout(dropout), layer]
     return layers
 
 
@@ -150,20 +150,6 @@ def mlp_forward(model, x):
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out = _head(forward(_network(model.flat, model.topology), x2))
     return out[0] if np.ndim(x) == 1 else out
-
-
-def mlp_backward(model, x, labels):
-    """Cross-entropy and parameter gradients for one batch of integer labels, without dropout.
-
-    The gradients are views into one new vector laid out like ``model.flat``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    grad = np.zeros_like(model.flat)
-    layers = _network(model.flat, model.topology, grad)
-    loss_val, dz = _cross_entropy(forward(layers, x), labels)
-    backprop(layers, dz)
-    return float(loss_val), *_layer_views(grad, model.topology)
 
 
 def predict_labels(model, x):

@@ -52,6 +52,7 @@ __all__ = [
     "backprop",
     "train",
     "ParamLayer",
+    "bind_layers",
     "Dense",
     "Conv1D",
     "ConvTranspose1D",
@@ -173,7 +174,7 @@ def _uniform_fan_in(rng, fan_in, out):
     bound = sqrt(1/fan_in).  ``out`` must be C-contiguous.  A float32
     ``out`` gets the same doubles, rounded to nearest.
     """
-    bound = np.sqrt(1.0 / fan_in)
+    bound = math.sqrt(1.0 / fan_in)
     draws = out if out.dtype == np.float64 else np.empty(out.shape)
     rng.random(out=draws)
     draws *= bound - -bound
@@ -187,7 +188,7 @@ class ParamLayer:
 
     A layer built with an ``rng`` owns fresh arrays and is initialized at
     once.  One built with ``rng=None`` has no parameters until ``bind``
-    gives it storage, or ``adopt`` hands it existing arrays, which lets a
+    (as a rule through ``bind_layers``) gives it storage, which lets a
     model keep every layer in one vector.
     """
 
@@ -198,28 +199,45 @@ class ParamLayer:
         if rng is not None:
             self.bind(np.empty(self.size), np.zeros(self.size), rng)
 
-    def adopt(self, w, b, grad_w, grad_b):
-        """Use the given arrays, views as a rule, as the parameters and their grads."""
-        self.w, self.b = self.params = [w, b]
-        self.grad_params = [grad_w, grad_b]
-
     def bind(self, flat, flat_grad, rng):
         """Point ``w``/``b`` and their grads at ``flat``/``flat_grad``; an ``rng`` draws the init.
 
-        Each slice holds ``size`` elements: the weight, then the bias, C order.
+        The last axis holds ``size`` elements: the weight, then the bias, C
+        order, so one draw over ``flat`` inits both.  A leading axis of S
+        makes S stacked layers, one per row; the init draw needs a single one.
+        With ``flat_grad`` None the layer runs forward only.
         """
-        n = math.prod(self.w_shape)
-        self.adopt(flat[:n].reshape(self.w_shape), flat[n:],
-                   flat_grad[:n].reshape(self.w_shape), flat_grad[n:])
+        n, shape = math.prod(self.w_shape), flat.shape[:-1] + self.w_shape
+        self.w, self.b = self.params = [flat[..., :n].reshape(shape), flat[..., n:]]
+        self.grad_params = None if flat_grad is None else [
+            flat_grad[..., :n].reshape(shape), flat_grad[..., n:]]
         if rng is not None:
-            for p in self.params:
-                _uniform_fan_in(rng, self.fan_in, p)
+            _uniform_fan_in(rng, self.fan_in, flat)
+
+
+def bind_layers(layers, flat, grad, rng=None):
+    """Lay each ``ParamLayer`` of ``layers`` over the next slice of ``flat``/``grad``'s last axis.
+
+    ``flat`` is one model's (P,) vector or S models' (S, P) block, and
+    ``grad`` is None (forward only) or has its shape.  An ``rng`` draws
+    each layer's init in layer order, weight before bias.  ValueError when
+    the layers' sizes do not add up to P.
+    """
+    owners = [layer for layer in layers if isinstance(layer, ParamLayer)]
+    size = sum(layer.size for layer in owners)
+    if flat.shape[-1] != size:
+        raise ValueError(f"the layers take {size} params, the vector holds {flat.shape[-1]}")
+    at = 0
+    for layer in owners:
+        part = slice(at, at + layer.size)
+        layer.bind(flat[..., part], None if grad is None else grad[..., part], rng)
+        at += layer.size
 
 
 class Dense(ParamLayer):
     """Affine layer on the last two axes: (..., n, fan_in) -> (..., n, fan_out).
 
-    Adopted (S, fan_in, fan_out) weights and (S, fan_out) biases make it S
+    Bound (S, fan_in, fan_out) weights and (S, fan_out) biases make it S
     layers at once, one per leading index; the input is then an (S, n,
     fan_in) batch, or an (n, fan_in) one that every layer of the stack reads.
     """

@@ -47,6 +47,7 @@ from .mlp import (
     MlpModel,
     TrainConfig,
     TrainHistory,
+    check_fits,
     init_mlp,
     train_mlp,
     train_mlp_stack,
@@ -135,16 +136,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.topology = validate_topology(self.topology)
-        if self.topology[0] != self.task.n_features:
-            raise ValueError(
-                f"topology input {self.topology[0]} != task features {self.task.n_features}"
-            )
-        out = self.topology[-1]
-        expected = 1 if self.task.n_classes == 2 else self.task.n_classes
-        if out != expected:
-            raise ValueError(
-                f"topology output {out} does not fit {self.task.n_classes} classes"
-            )
+        check_fits(self.topology, self.task.n_features, self.task.n_classes,
+                   f"task {self.task.name}")
         if self.chunks < 1 or self.reps < 1:
             raise ValueError("chunks and reps must be >= 1")
         if self.theta < 0.0:
@@ -206,11 +199,7 @@ def prepare_pairs(
     traces, matrices, chunk_of, accs = [], [], [], []
     pair_index = 0
     for ci, chunk_ds in enumerate(sub_chunks):
-        if chunk_ds.d != cfg.topology[0] or chunk_ds.n_classes != cfg.task.n_classes:
-            raise ValueError(
-                f"chunk {ci} ({chunk_ds.d} features, {chunk_ds.n_classes} classes) "
-                f"does not fit topology {cfg.topology} / {cfg.task.n_classes} classes"
-            )
+        check_fits(cfg.topology, chunk_ds.d, chunk_ds.n_classes, f"chunk {ci}")
         surs, train_cfgs = [], []
         for rep in range(cfg.reps):
             init_seed = derive_seed(cfg.master_seed, "phase1", iteration, "sur-init", ci, rep)
@@ -482,6 +471,7 @@ def run_phase3(
     the small-data-only baseline reuses the same training path from a
     random initialization.
     """
+    check_fits(cfg.topology, d_small.d, d_small.n_classes, f"dataset {d_small.name!r}")
     if d_small.n == 0 or np.unique(d_small.y).size < 2:
         raise ValueError(
             f"d_small needs at least two classes to fine-tune, got "

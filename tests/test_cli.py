@@ -683,6 +683,52 @@ def test_finetune_label_outside_the_classes_exits_two(
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def ternary_dir(cli_root, data_dir):
+    # 9 features like binary-narrow, but 3 classes: no (9, 4, 1) model fits it
+    ds = read_dataset(data_dir)
+    ds.n_classes = 3
+    ds.y[::3] = 2
+    out = cli_root / "data_ternary"
+    write_dataset(out, ds)
+    return out
+
+
+@pytest.mark.parametrize("command", ["finetune", "evaluate"])
+def test_data_of_another_class_count_exits_two(
+    cli_root, tiny_cfg, extract_dir, victim_path, ternary_dir, command, capsys
+):
+    model = {
+        "finetune": ["--matrix", str(extract_dir / "extracted_matrix.json")],
+        "evaluate": ["--model", victim_path],
+    }[command]
+    out = cli_root / f"{command}_ternary"
+    rc = main([command, "--config", tiny_cfg, *model, "--data", str(ternary_dir),
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"stage={command} error=ValueError" in captured.err
+    assert "3 classes, which need a 3-unit head; topology (9, 4, 1) has 1" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_finetune_non_finite_matrix_cell_exits_two(
+    cli_root, tiny_cfg, extract_dir, data_dir, capsys
+):
+    doc = json.loads((extract_dir / "extracted_matrix.json").read_text())
+    doc["data"][0][0] = float("nan")
+    bad = cli_root / "matrix_nan.json"
+    bad.write_text(json.dumps(doc))
+    for epochs in ([], ["--epochs-max", "0"]):
+        out = cli_root / f"finetuned_nan{len(epochs)}"
+        rc = main(["finetune", "--config", tiny_cfg, "--matrix", str(bad), "--data",
+                   str(data_dir), *epochs, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage=finetune error=ValueError" in err and "not a finite number" in err
+        assert not out.exists()
+
+
 def _extra_layer(doc):
     doc["weights"].append([[1.0]])
     doc["biases"].append([0.0])

@@ -17,11 +17,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from traceweights.codec import coefficients_to_matrix, matrix_to_coefficients
 from traceweights.ednn import build_ednn
 from traceweights.mlp import (
+    _cross_entropy,
     _network,
     MlpModel,
     TrainConfig,
     init_mlp,
-    mlp_backward,
     mlp_forward,
     model_accuracy,
     model_from_dict,
@@ -42,7 +42,10 @@ from traceweights.nn import (
     Dropout,
     ReLU,
     Reshape,
+    backprop,
+    bind_layers,
     cross_entropy_from_probs,
+    forward,
     mse_loss,
     relu,
     sigmoid,
@@ -184,15 +187,24 @@ def _mlp_preactivations_clear(model, x, margin):
     return True
 
 
+def _mlp_loss_and_grads(model, x, y):
+    # the path train_mlp_stack trains through, without dropout
+    grad = np.zeros_like(model.flat)
+    layers = _network(model.flat, model.topology, grad)
+    loss_val, dz = _cross_entropy(forward(layers, x), y)
+    backprop(layers, dz)
+    return float(loss_val), [layer.grad_params for layer in layers if layer.params]
+
+
 def _check_mlp_grads(model, x, y):
-    loss_val, gw, gb = mlp_backward(model, x, y)
+    loss_val, grads = _mlp_loss_and_grads(model, x, y)
 
     def loss_fn():
-        return mlp_backward(model, x, y)[0]
+        return _mlp_loss_and_grads(model, x, y)[0]
 
     assert loss_fn() == loss_val
-    for i in range(len(model.weights)):
-        for arr, an in [(model.weights[i], gw[i]), (model.biases[i], gb[i])]:
+    for i, (gw, gb) in enumerate(grads):
+        for arr, an in [(model.weights[i], gw), (model.biases[i], gb)]:
             fd = _fd_grad(loss_fn, arr)
             worst = max(_rel_err(a, b) for a, b in zip(fd.ravel(), an.ravel()))
             assert worst < FD_REL, f"layer {i} grad off by {worst}"
@@ -683,6 +695,29 @@ def test_init_mlp_bounds_and_determinism():
         bound = math.sqrt(1.0 / fan_in)
         assert np.max(np.abs(w)) <= bound
         assert np.max(np.abs(bias)) <= bound
+    # the doubles of rng.uniform, layer by layer, weight before bias
+    rng = np.random.default_rng(123)
+    for (fan_in, fan_out), w, bias in zip(zip(topo[:-1], topo[1:]), a.weights, a.biases):
+        bound = np.sqrt(1.0 / fan_in)
+        assert np.array_equal(w, rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        assert np.array_equal(bias, rng.uniform(-bound, bound, size=(fan_out,)))
+
+
+def test_bind_layers_lays_each_layer_over_the_next_slice():
+    layers = [Dense(2, 3, None), ReLU(), Dense(3, 1, None)]
+    block = np.arange(2 * 13, dtype=np.float64).reshape(2, 13)  # two stacked models
+    grad = np.zeros_like(block)
+    bind_layers(layers, block, grad)
+    first, last = layers[0], layers[2]
+    assert first.w.shape == (2, 2, 3) and last.b.shape == (2, 1)
+    assert np.shares_memory(first.w, block) and np.shares_memory(last.grad_params[1], grad)
+    assert np.array_equal(first.w[1].ravel(), block[1, :6])
+    assert np.array_equal(first.b[1], block[1, 6:9])
+    assert np.array_equal(last.w[0].ravel(), block[0, 9:12])
+    assert np.array_equal(last.b[0], block[0, 12:])
+    for size in (12, 14):
+        with pytest.raises(ValueError, match="take 13 params"):
+            bind_layers(layers, np.zeros(size), None)
 
 
 def test_in_place_uniform_init_is_bitwise_rng_uniform():

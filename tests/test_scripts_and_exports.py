@@ -1,8 +1,9 @@
 """Every script starts, every exported name resolves, every function the
 benchmark tracer patches still exists, one loop does all training, one
 module reads the config stamps of run-directory files, only the CLI's
-``main`` loads a config and picks the exit code, and only ``run_phase1``
-builds a ``Phase1Result``.
+``main`` loads a config and picks the exit code, only ``run_phase1``
+builds a ``Phase1Result``, and only ``nn`` lays layers over a parameter
+vector or draws their init.
 
 A script, an ``__all__`` entry or a tracer patch point that still names a
 removed function fails here instead of at its first real use.
@@ -132,3 +133,18 @@ def test_run_phase1_alone_builds_a_phase1_result():
         and getattr(node.func, "id", getattr(node.func, "attr", "")) == "Phase1Result"
     ]
     assert builders == ["pipeline.run_phase1"]
+
+
+def test_nn_alone_binds_layers_and_draws_their_init():
+    # one parameter layout and one init: a .bind( or an rng's .uniform( elsewhere is a second
+    src = ROOT / "src" / "traceweights"
+    found = [
+        f"{p.stem}.{getattr(top, 'name', '<module>')}: {ast.unparse(node)}"
+        for p in sorted(src.glob("*.py"))
+        for top in ast.parse(p.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", "") in ("bind", "uniform")
+        and (p.stem != "nn" or node.func.attr == "uniform")
+    ]
+    assert not found
