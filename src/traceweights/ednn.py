@@ -13,6 +13,13 @@ it reads (through PCA) and the matrices it learns are float32 values, a
 arithmetic would add cost and no information.  ``forward`` and
 ``train_ednn`` cast what they are given; PCA and standardizing stay float64.
 
+Memory.  A built model's parameters and gradient are the two rows of one
+block, and ``nn.Adam`` keeps both moments in another: 45-54 MB each at
+desk widths, above glibc's 32 MB cap on its dynamic mmap threshold, so
+each is mapped alone and unmapped whole when freed.  Four 23-27 MB
+vectors per training run would raise that threshold to their size, and a
+process that fits a translator per task would grow its heap by tens of MB.
+
 Training is ``nn.train`` on the MSE loss, with validation accuracy
 against a threshold theta as its target.
 """
@@ -67,7 +74,9 @@ class EdnnModel:
     """Layers whose ``w``/``b`` and grads are views into ``flat``/``flat_grad``.
 
     Both vectors are float32 and hold the parameters layer by layer, weight
-    before bias, each in C order.
+    before bias, each in C order.  A built model's ``flat`` and
+    ``flat_grad`` are the two rows of one (2, size) block; one laid over a
+    checkpoint's vector gets a gradient vector of its own.
     """
 
     layers: list
@@ -99,7 +108,8 @@ def ednn_from_vector(input_len, output_shape, scale, flat: np.ndarray) -> EdnnMo
 
 
 def _ednn(input_len, output_shape, scale, flat, rng) -> EdnnModel:
-    # with flat None, each layer draws its init from rng straight into its slice of a new vector
+    # with flat None, flat and flat_grad are the rows of a new (2, size) block, and rng draws
+    # the init into flat
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}, expected one of {sorted(_SCALES)}")
     if input_len < 16:
@@ -123,12 +133,13 @@ def _ednn(input_len, output_shape, scale, flat, rng) -> EdnnModel:
     layers += [Reshape(-1), Dense(c_prev * length, rows * cols, None), Reshape(rows, cols)]
     size = sum(layer.size for layer in layers if isinstance(layer, ParamLayer))
     if flat is None:
-        flat = np.empty(size, _DTYPE)
+        flat, flat_grad = np.zeros((2, size), _DTYPE)
     elif flat.shape != (size,):
         raise ValueError(f"checkpoint holds {flat.size} params, model has {size}")
     elif flat.dtype != _DTYPE:
         raise ValueError(f"checkpoint params are {flat.dtype}, the model's are {np.dtype(_DTYPE)}")
-    flat_grad = np.zeros(size, _DTYPE)
+    else:
+        flat_grad = np.zeros(size, _DTYPE)
     bind_layers(layers, flat, flat_grad, rng)
     return EdnnModel(layers=layers, input_len=input_len, rows=rows, cols=cols, scale=scale,
                      flat=flat, flat_grad=flat_grad)

@@ -50,20 +50,23 @@ __all__ = [
 class MlpModel:
     """Topology plus per-layer weight (fan_in, fan_out) and bias arrays.
 
-    Construction copies the arrays into one vector, ``flat``, and keeps
-    ``weights``/``biases`` as the ``w``/``b`` of Dense layers bound to it:
-    layer by layer, weight before bias, each in C order.
+    Construction copies the arrays into one vector, ``flat``, and binds
+    ``layers`` to it once: the forward-only network ``mlp_forward`` runs.
+    ``weights``/``biases`` are its Dense layers' ``w``/``b``, laid out layer
+    by layer, weight before bias, each in C order.
     """
 
     topology: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     flat: np.ndarray = field(init=False, repr=False)
+    layers: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arrays = [a for wb in zip(self.weights, self.biases) for a in wb]
         self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        dense = _dense_layers(self.flat, self.topology)
+        self.layers = _network(self.flat, self.topology)
+        dense = self.layers[::3]
         self.weights, self.biases = [d.w for d in dense], [d.b for d in dense]
 
 
@@ -96,26 +99,23 @@ def check_fits(topology, n_features, n_classes, what):
 def init_mlp(topology: Sequence[int], seed: int) -> MlpModel:
     """Fresh model, every layer uniform in +-sqrt(1/fan_in)."""
     topo = validate_topology(topology)
-    flat = np.empty(sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(topo, topo[1:])))
-    dense = _dense_layers(flat, topo, rng=np.random.default_rng(seed))
-    return MlpModel(topo, [d.w for d in dense], [d.b for d in dense])
-
-
-def _dense_layers(flat, topology, grad=None, rng=None):
-    """One Dense per layer, laid over ``flat`` and ``grad`` by ``nn.bind_layers``.
-
-    ``flat`` is one model's vector or a stack's (S, P) block; without
-    ``grad`` the layers run forward only.  An ``rng`` draws the init into
-    ``flat``.
-    """
-    layers = [Dense(fan_in, fan_out, None) for fan_in, fan_out in zip(topology, topology[1:])]
-    bind_layers(layers, flat, grad, rng)
-    return layers
+    shapes = list(zip(topo, topo[1:]))
+    model = MlpModel(topo, [np.zeros(shape) for shape in shapes],
+                     [np.zeros(fan_out) for _, fan_out in shapes])
+    # binding the model's own layers again over its vector draws their init into it
+    bind_layers(model.layers, model.flat, None, np.random.default_rng(seed))
+    return model
 
 
 def _network(flat, topology, grad=None, dropout=0.0):
-    """``_dense_layers`` with ReLU and Dropout between; the head is ``_head``'s."""
-    dense = _dense_layers(flat, topology, grad)
+    """Dense layers over ``flat``/``grad`` (``nn.bind_layers``), with ReLU and Dropout between.
+
+    Dense layer i is ``[3 * i]``; the head is ``_head``'s.  ``flat`` is one
+    model's vector or a stack's (S, P) block; without ``grad`` the layers
+    run forward only.
+    """
+    dense = [Dense(fan_in, fan_out, None) for fan_in, fan_out in zip(topology, topology[1:])]
+    bind_layers(dense, flat, grad)
     layers = dense[:1]
     for layer in dense[1:]:
         layers += [ReLU(), Dropout(dropout), layer]
@@ -148,7 +148,7 @@ def _labels(probs):
 def mlp_forward(model, x):
     """Probabilities for a (d,) vector or (n, d) batch."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = _head(forward(_network(model.flat, model.topology), x2))
+    out = _head(forward(model.layers, x2))
     return out[0] if np.ndim(x) == 1 else out
 
 

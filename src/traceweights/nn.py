@@ -110,7 +110,8 @@ def cross_entropy_from_probs(probs, labels):
 
 
 # Elements per Adam block: the block's slices of p, g, m, v and the two
-# scratch buffers stay in cache while the update runs over them.
+# scratch buffers stay in cache while the update runs over them.  A
+# float32 init draws its doubles in pieces of the same size.
 _ADAM_BLOCK = 32768
 
 
@@ -123,21 +124,29 @@ class Adam:
     scratch buffers, so a step allocates nothing; per element the arithmetic
     and its order are those of the formula above, in the parameters' dtype.
     Parameter arrays must be C-contiguous, since the update writes through a
-    flat view of each.
+    flat view of each, and share one dtype.
+
+    ``m[i]`` and ``v[i]`` are views of the two rows of one zeroed block of
+    that dtype, so the moments are one allocation (see ``ednn`` on memory).
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         if not all(p.flags.c_contiguous for p in params):
             raise ValueError("Adam needs C-contiguous parameter arrays")
+        if len({p.dtype for p in params}) > 1:
+            raise ValueError("Adam needs parameter arrays of one dtype")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(p.size, p.dtype) for p in params]
-        self.v = [np.zeros(p.size, p.dtype) for p in params]
-        width = min(_ADAM_BLOCK, max((p.size for p in params), default=0))
-        dtype = np.result_type(*params) if params else np.float64
+        dtype = params[0].dtype if params else np.float64
+        sizes = [p.size for p in params]
+        moments = np.zeros((2, sum(sizes)), dtype)
+        cuts = np.cumsum(sizes)[:-1]
+        self.m = np.split(moments[0], cuts)
+        self.v = np.split(moments[1], cuts)
+        width = min(_ADAM_BLOCK, max(sizes, default=0))
         self._a = np.empty(width, dtype)
         self._b = np.empty(width, dtype)
 
@@ -172,15 +181,29 @@ def _uniform_fan_in(rng, fan_in, out):
     """Fill ``out`` in place with the doubles ``rng.uniform(-bound, bound)`` gives.
 
     bound = sqrt(1/fan_in).  ``out`` must be C-contiguous.  A float32
-    ``out`` gets the same doubles, rounded to nearest.
+    ``out`` gets the same doubles, rounded to nearest: they are drawn
+    ``_ADAM_BLOCK`` at a time into one reused buffer, so no float64 copy
+    of the whole of ``out`` is made.
     """
     bound = math.sqrt(1.0 / fan_in)
-    draws = out if out.dtype == np.float64 else np.empty(out.shape)
-    rng.random(out=draws)
-    draws *= bound - -bound
-    draws += -bound
-    if draws is not out:
-        out[...] = draws
+    if out.dtype == np.float64:
+        _uniform_into(rng, bound, out)
+        return
+    if not out.flags.c_contiguous:
+        raise ValueError("the init draws into a C-contiguous array")
+    whole = out.reshape(-1)
+    buf = np.empty(min(_ADAM_BLOCK, whole.size))
+    for lo in range(0, whole.size, _ADAM_BLOCK):
+        piece = whole[lo : lo + _ADAM_BLOCK]
+        piece[...] = _uniform_into(rng, bound, buf[: piece.size])
+
+
+def _uniform_into(rng, bound, out):
+    """``rng.uniform(-bound, bound)``'s doubles, drawn into the float64 ``out``."""
+    rng.random(out=out)
+    out *= bound - -bound
+    out += -bound
+    return out
 
 
 class ParamLayer:

@@ -381,6 +381,23 @@ def test_ednn_from_vector_lays_its_layers_over_the_vector():
         ednn_from_vector(16, (2, 2), "desk", vec.astype(np.float64))
 
 
+def test_built_model_keeps_params_and_gradient_in_one_block():
+    model = build_ednn(16, (2, 2), "desk", seed=30)
+    size = model.flat.size
+    block = model.flat.base
+    assert block.shape == (2, size) and block.dtype == np.float32
+    assert model.flat_grad.base is block
+    assert np.array_equal(model.flat, block[0]) and np.shares_memory(model.flat, block[0])
+    assert np.shares_memory(model.flat_grad, block[1]) and not model.flat_grad.any()
+    _assert_packed(model)
+    # a half of the block is a model's vector; the block, or another dtype, is refused
+    assert ednn_from_vector(16, (2, 2), "desk", model.flat).flat is model.flat
+    with pytest.raises(ValueError, match="params"):
+        ednn_from_vector(16, (2, 2), "desk", block.reshape(-1))
+    with pytest.raises(ValueError, match="float64"):
+        ednn_from_vector(16, (2, 2), "desk", model.flat.astype(np.float64))
+
+
 def test_write_ednn_bytes_are_layer_params_in_order(tmp_path):
     model = build_ednn(16, (2, 2), "desk", seed=32)
     _write_through_translator(tmp_path / "m", model)

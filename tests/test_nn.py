@@ -8,12 +8,14 @@ is loose on purpose.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from traceweights import mlp
 from traceweights.codec import coefficients_to_matrix, matrix_to_coefficients
 from traceweights.ednn import build_ednn
 from traceweights.mlp import (
@@ -341,6 +343,24 @@ def test_blocked_adam_is_bitwise_the_array_formula():
         ref.step(ref_params, grads)
         for p, q in zip(params, ref_params):
             assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_moments_are_views_of_one_block_in_the_params_dtype(dtype):
+    shapes = [(3, 4), (5,), (2 * _ADAM_BLOCK + 7,)]
+    params = [np.ones(s, dtype) for s in shapes]
+    opt = Adam(params, lr=0.01)
+    block = opt.m[0].base
+    total = sum(p.size for p in params)
+    assert block.shape == (2, total) and block.dtype == dtype and not block.any()
+    assert all(a.base is block and a.dtype == dtype for a in [*opt.m, *opt.v])
+    assert [a.size for a in opt.m] == [a.size for a in opt.v] == [p.size for p in params]
+    opt.step(params, [np.full(s, 2.0, dtype) for s in shapes])
+    # m and v fill the block's rows in parameter order
+    assert np.array_equal(block[0], np.concatenate(opt.m))
+    assert np.array_equal(block[1], np.concatenate(opt.v))
+    with pytest.raises(ValueError, match="one dtype"):
+        Adam([np.ones(2, np.float64), np.ones(2, np.float32)])
 
 
 def test_single_weight_squared_loss_gradient_is_eight():
@@ -727,6 +747,52 @@ def test_in_place_uniform_init_is_bitwise_rng_uniform():
         bound = np.sqrt(1.0 / fan_in)
         ref = np.random.default_rng(fan_in).uniform(-bound, bound, shape)
         assert np.array_equal(out, ref)
+
+
+def test_float32_init_draws_in_bounded_pieces():
+    # two whole pieces and a partial one, rounded from the doubles of one rng.uniform,
+    # with no float64 copy of the whole array made on the way
+    n = 2 * _ADAM_BLOCK + 123
+    out = np.empty(n, np.float32)
+    _uniform_fan_in(np.random.default_rng(5), 9, out)  # warm-up: imports and caches
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _uniform_fan_in(rng, 9, out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = np.sqrt(1.0 / 9)
+    assert np.array_equal(out, np.random.default_rng(5).uniform(-bound, bound, n).astype(np.float32))
+    assert peak < _ADAM_BLOCK * 8 + 4096 < n * 8
+
+
+def test_an_mlp_model_binds_its_network_once(monkeypatch):
+    built = []
+
+    class Counted(Dense):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mlp, "Dense", Counted)
+    topo = (5, 4, 3)
+    model = init_mlp(topo, seed=3)
+    # one Dense per layer, the model's own, and the init went into its vector
+    assert built == model.layers[::3]
+    for layer, w, b in zip(built, model.weights, model.biases):
+        assert np.shares_memory(layer.w, model.flat) and np.array_equal(layer.w, w)
+        assert np.shares_memory(layer.b, model.flat) and np.array_equal(layer.b, b)
+    assert model.flat.any()
+    built.clear()
+    x = np.random.default_rng(4).normal(size=(6, 5))
+    probs = mlp_forward(model, x)
+    assert not built  # forward runs the bound network, building none
+    dense = [Dense(fan_in, fan_out, None) for fan_in, fan_out in zip(topo, topo[1:])]
+    bind_layers(dense, model.flat.copy(), None)
+    ref = forward([dense[0], ReLU(), dense[1]], x)
+    assert np.array_equal(probs, softmax(ref))
 
 
 def test_validate_topology_rejects_bad_shapes():
