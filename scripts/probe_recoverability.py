@@ -27,13 +27,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from traceweights.config import load_run_config, shipped_config_path
 from traceweights.datasets import chunk, gen_synthetic
 from traceweights.device import (
-    _mac_streams,
     fixed_point_code,
     hamming_weight,
+    mac_streams,
     simulate_trace,
     total_macs,
 )
-from traceweights.mlp import init_mlp, model_accuracy, train_mlp
+from traceweights.mlp import init_mlp, predict_labels, train_mlp
 from traceweights.pipeline import make_fixed_input
 from traceweights.reduction import pca_fit, pca_transform
 from traceweights.seeding import derive_seed
@@ -140,10 +140,10 @@ def main():
                 tc = replace(sur, epochs=m - prev, lr=lr, seed=derive_seed(seed, "t", prev))
                 train_mlp(model, piece.x, piece.y, tc)
                 prev = m
-            coeffs, ops = _mac_streams(model, fixed.values)
+            coeffs, ops = mac_streams(model, fixed.values)
             per_mark_w[m].append(coeffs)
             per_mark_ops[m].append(ops)
-            per_mark_acc[m].append(model_accuracy(model, piece.x, piece.y))
+            per_mark_acc[m].append(np.mean(predict_labels(model, piece.x) == piece.y))
         models_last.append(model)
     print(f"corpus trained in {time.time() - t0:.1f}s")
 

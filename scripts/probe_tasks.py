@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from traceweights.config import load_run_config, shipped_config_path
 from traceweights.datasets import Dataset, gen_synthetic, sample_dsmall, stratified_split
-from traceweights.mlp import init_mlp, model_accuracy, train_mlp
+from traceweights.mlp import init_mlp, predict_labels, train_mlp
 from traceweights.seeding import derive_seed
 
 
@@ -48,7 +48,7 @@ def main():
 
             tgt = init_mlp(pipe.topology, seed=derive_seed(seed, "tgt"))
             train_mlp(tgt, big_x, big_y, replace(exp.target, seed=derive_seed(seed, "tgt-t")))
-            t_acc.append(model_accuracy(tgt, test_x, test_y))
+            t_acc.append(np.mean(predict_labels(tgt, test_x) == test_y))
 
             rest = Dataset(x=big_x, y=big_y, n_classes=task.n_classes, name=task.name)
             dsm = sample_dsmall(rest, task.dsmall_size, "balanced", derive_seed(seed, "dsm"))
@@ -59,7 +59,7 @@ def main():
                 pipe.finetune.train_config(derive_seed(seed, "small-t")),
                 val=(va.x, va.y),
             )
-            s_acc.append(model_accuracy(small, test_x, test_y))
+            s_acc.append(np.mean(predict_labels(small, test_x) == test_y))
         print(
             f"task={task.name} sep={task.separation} spread={task.cluster_spread} "
             f"k={task.clusters_per_class} dsmall={task.dsmall_size} "

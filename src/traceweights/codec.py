@@ -27,22 +27,26 @@ __all__ = [
 
 @dataclass
 class WeightsMatrix:
-    rows: int
-    cols: int
+    """A topology's matrix image; ``rows``/``cols`` are ``data``'s shape."""
+
     topology: tuple[int, ...]
     data: np.ndarray
 
     def __post_init__(self):
         self.topology = validate_topology(self.topology)
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.rows, self.cols):
+        if self.data.shape != matrix_shape(self.topology):
             raise ValueError(
-                f"matrix data is {self.data.shape}, header says {(self.rows, self.cols)}"
+                f"shape {self.data.shape} does not match topology {self.topology}"
             )
-        if (self.rows, self.cols) != matrix_shape(self.topology):
-            raise ValueError(
-                f"shape {(self.rows, self.cols)} does not match topology {self.topology}"
-            )
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -54,12 +58,16 @@ class WeightsMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeightsMatrix":
-        """``to_json_dict``'s inverse; ValueError when a cell is not a finite number."""
+        """``to_json_dict``'s inverse; ValueError when the ``rows``/``cols`` header
+        disagrees with the data or a cell is not a finite number."""
         data = np.asarray(d["data"], dtype=np.float64)
+        if data.shape != (int(d["rows"]), int(d["cols"])):
+            raise ValueError(
+                f"matrix data is {data.shape}, header says {(d['rows'], d['cols'])}"
+            )
         if not np.isfinite(data).all():
             raise ValueError("matrix holds a cell that is not a finite number")
-        return cls(rows=int(d["rows"]), cols=int(d["cols"]), topology=tuple(d["topology"]),
-                   data=data)
+        return cls(topology=tuple(d["topology"]), data=data)
 
 
 def matrix_shape(topology: Sequence[int]) -> tuple[int, int]:
@@ -73,8 +81,7 @@ def matrix_shape(topology: Sequence[int]) -> tuple[int, int]:
 def nonpad_mask(topology: Sequence[int]) -> np.ndarray:
     """Boolean mask of entries that carry a coefficient (True) vs padding."""
     topo = validate_topology(topology)
-    rows, cols = matrix_shape(topo)
-    mask = np.zeros((rows, cols), dtype=bool)
+    mask = np.zeros(matrix_shape(topo), dtype=bool)
     r = 0
     for fan_in, fan_out in zip(topo[:-1], topo[1:]):
         mask[r : r + fan_out, : fan_in + 1] = True
@@ -83,15 +90,14 @@ def nonpad_mask(topology: Sequence[int]) -> np.ndarray:
 
 
 def coefficients_to_matrix(model: MlpModel) -> WeightsMatrix:
-    rows, cols = matrix_shape(model.topology)
-    data = np.zeros((rows, cols), dtype=np.float64)
+    data = np.zeros(matrix_shape(model.topology), dtype=np.float64)
     r = 0
     for w, b in zip(model.weights, model.biases):
         fan_in, fan_out = w.shape
         data[r : r + fan_out, :fan_in] = w.T
         data[r : r + fan_out, fan_in] = b
         r += fan_out
-    return WeightsMatrix(rows, cols, model.topology, data)
+    return WeightsMatrix(model.topology, data)
 
 
 def matrix_to_coefficients(matrix: WeightsMatrix, topology: Sequence[int]) -> MlpModel:

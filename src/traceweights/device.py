@@ -1,8 +1,8 @@
 """Simulated power side channel of an MLP inference device.
 
 The device executes one multiply-accumulate per coefficient, layer by
-layer, neuron by neuron, weights before bias, which is the same order as
-the rows of the codec's matrix image.  Every MAC emits
+layer, neuron by neuron, weights before bias: trace slot i is the codec
+matrix image's non-pad cell i in row-major order.  Every MAC emits
 ``samples_per_mac`` samples of
 
     static_power + dynamic_scale * (HW(fix(c)) + HW(fix(v))) + noise
@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import read_array, read_json, write_array, write_json
+from .codec import coefficients_to_matrix, nonpad_mask
 from .mlp import MlpModel, validate_topology
 from .nn import relu
 
@@ -32,6 +33,7 @@ __all__ = [
     "fixed_point_code",
     "hamming_weight",
     "total_macs",
+    "mac_streams",
     "simulate_trace",
     "quantize_trace",
     "write_trace_container",
@@ -97,26 +99,27 @@ def total_macs(topology: Sequence[int]) -> int:
     return sum(i * o + o for i, o in zip(topo[:-1], topo[1:]))
 
 
-def _mac_streams(model: MlpModel, x: np.ndarray):
-    """Coefficients and operands in trace slot order."""
+def mac_streams(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and operands in trace slot order.
+
+    Slot i is the codec's non-pad cell i in row-major order: both streams
+    are laid out in the matrix image and read through ``nonpad_mask``.  A
+    row's operands are its layer's input, and its bias cell's is 0.
+    """
     a = np.asarray(x, dtype=np.float64)
     if a.shape != (model.topology[0],):
         raise ValueError(
             f"input length {a.shape} does not match topology {model.topology}"
         )
-    coeffs, operands = [], []
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    mask = nonpad_mask(model.topology)
+    operands = np.zeros(mask.shape)
+    r = 0
+    for w, b in zip(model.weights, model.biases):
         fan_in, fan_out = w.shape
-        block_c = np.concatenate([w.T, b[:, None]], axis=1)
-        block_v = np.concatenate(
-            [np.tile(a, (fan_out, 1)), np.zeros((fan_out, 1))], axis=1
-        )
-        coeffs.append(block_c.ravel())
-        operands.append(block_v.ravel())
-        z = a @ w + b
-        if i < len(model.weights) - 1:
-            a = relu(z)
-    return np.concatenate(coeffs), np.concatenate(operands)
+        operands[r : r + fan_out, :fan_in] = a
+        a = relu(a @ w + b)
+        r += fan_out
+    return coefficients_to_matrix(model).data[mask], operands[mask]
 
 
 def simulate_trace(
@@ -132,7 +135,7 @@ def simulate_trace(
     derive_seed(master, "phase1", iteration, "device") XOR pair_index,
     so pair order cannot matter.
     """
-    coeffs, operands = _mac_streams(model, fixed_input)
+    coeffs, operands = mac_streams(model, fixed_input)
     hw_c = hamming_weight(
         fixed_point_code(coeffs, cfg.fixed_point_bits, cfg.fixed_point_frac_bits)
     )

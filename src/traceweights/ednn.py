@@ -210,10 +210,9 @@ def train_ednn(model: EdnnModel, x_train: np.ndarray, y_train: np.ndarray, cfg: 
 
 
 def predict_weights(model: EdnnModel, reduced: np.ndarray) -> np.ndarray:
-    """Matrix predictions with dropout off; finite by construction check."""
-    single = np.ndim(reduced) == 1
-    out = model.forward(np.atleast_2d(reduced), train=False)
+    """Matrix predictions for a batch, with dropout off; NumericalError unless finite."""
+    out = model.forward(reduced, train=False)
     if not np.all(np.isfinite(out)):
         raise NumericalError("prediction produced non-finite values")
-    return out[0] if single else out
+    return out
 

@@ -38,7 +38,6 @@ __all__ = [
     "init_mlp",
     "mlp_forward",
     "predict_labels",
-    "model_accuracy",
     "train_mlp",
     "train_mlp_stack",
     "model_to_dict",
@@ -146,19 +145,13 @@ def _labels(probs):
 
 
 def mlp_forward(model, x):
-    """Probabilities for a (d,) vector or (n, d) batch."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = _head(forward(model.layers, x2))
-    return out[0] if np.ndim(x) == 1 else out
+    """Probabilities for an (n, d) batch."""
+    return _head(forward(model.layers, np.asarray(x, dtype=np.float64)))
 
 
 def predict_labels(model, x):
-    """Hard labels: argmax rows, or threshold 0.5 for the sigmoid head."""
-    return _labels(mlp_forward(model, np.atleast_2d(np.asarray(x, dtype=np.float64))))
-
-
-def model_accuracy(model, x, y):
-    return float(np.mean(predict_labels(model, x) == np.asarray(y)))
+    """Hard labels for an (n, d) batch: argmax rows, or threshold 0.5 for the sigmoid head."""
+    return _labels(mlp_forward(model, x))
 
 
 def train_mlp(model, x, y, cfg: TrainConfig, val=None) -> TrainHistory:

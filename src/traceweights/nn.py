@@ -113,6 +113,8 @@ def cross_entropy_from_probs(probs, labels):
 # scratch buffers stay in cache while the update runs over them.  A
 # float32 init draws its doubles in pieces of the same size.
 _ADAM_BLOCK = 32768
+# Adam's moment decays and the denominator's guard, as in Kingma & Ba
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -130,15 +132,12 @@ class Adam:
     that dtype, so the moments are one allocation (see ``ednn`` on memory).
     """
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         if not all(p.flags.c_contiguous for p in params):
             raise ValueError("Adam needs C-contiguous parameter arrays")
         if len({p.dtype for p in params}) > 1:
             raise ValueError("Adam needs parameter arrays of one dtype")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         dtype = params[0].dtype if params else np.float64
         sizes = [p.size for p in params]
@@ -152,7 +151,7 @@ class Adam:
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2, eps, lr = self.beta1, self.beta2, self.eps, self.lr
+        b1, b2, eps, lr = _BETA1, _BETA2, _EPS, self.lr
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):

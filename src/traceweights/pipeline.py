@@ -334,15 +334,27 @@ class Translator:
 
 @dataclass
 class Phase1Result:
-    """A finished ``run_phase1``: the fitted translator, its history, the last pairs and split."""
+    """A finished ``run_phase1``: the fitted translator, its history, the last pairs and split.
+
+    The outcome is the last iteration's record.
+    """
 
     translator: Translator
-    reached_theta: bool
     iterations: list[dict]
-    final_val_accuracy: float
-    test_accuracy: float
     pairs: TracePairs
     split_idx: dict
+
+    @property
+    def reached_theta(self) -> bool:
+        return self.iterations[-1]["reached_theta"]
+
+    @property
+    def final_val_accuracy(self) -> float:
+        return self.iterations[-1]["val_accuracy"]
+
+    @property
+    def test_accuracy(self) -> float:
+        return self.iterations[-1]["test_accuracy"]
 
     # what report.json's phase1 block and ednn.json record of a run
     SUMMARY_KEYS = ("reached_theta", "final_val_accuracy", "test_accuracy", "iterations")
@@ -370,8 +382,6 @@ def run_phase1(
         fixed,
     )
     iterations: list[dict] = []
-    reached = False
-    # PipelineConfig holds chunks >= 1, so the loop binds every value the result reads
     for k in range(1, cfg.chunks + 1):
         pairs = prepare_pairs(chunks[:k], cfg, fixed, iteration=k, log=log)
         n_train, n_test, n_val = split_counts(pairs.n, cfg.splits)
@@ -402,15 +412,11 @@ def run_phase1(
                 f"test_acc={test_acc:.4f} reached={hist.reached_theta}"
             )
         if hist.reached_theta:
-            reached = True
             break
 
     return Phase1Result(
         translator=translator,
-        reached_theta=reached,
         iterations=iterations,
-        final_val_accuracy=val_acc,
-        test_accuracy=test_acc,
         pairs=pairs,
         split_idx={k2: v.tolist() for k2, v in split_idx.items()},
     )
@@ -451,10 +457,7 @@ def translate_trace(
             f"trace length {samples.shape[1]} violates topology "
             f"{tuple(topology)}: the fitted reducer expects {length} samples"
         )
-    rows, cols = matrix_shape(topology)
-    return WeightsMatrix(
-        rows=rows, cols=cols, topology=tuple(topology), data=translator.predict(samples)[0]
-    )
+    return WeightsMatrix(topology=tuple(topology), data=translator.predict(samples)[0])
 
 
 def run_phase3(

@@ -14,25 +14,16 @@ import json
 from typing import Any
 
 __all__ = [
-    "canonical_json_bytes",
-    "sha256_hex",
     "digest_of",
     "derive_seed",
 ]
 
 
-def canonical_json_bytes(obj: Any) -> bytes:
-    """Serialize to JSON with sorted keys and no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def digest_of(obj: Any) -> str:
-    """Short stable digest of a JSON-serializable object."""
-    return sha256_hex(canonical_json_bytes(obj))[:16]
+    """Short stable digest of a JSON-serializable object: the SHA-256 of its
+    JSON with sorted keys and no whitespace."""
+    data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def derive_seed(master: int, *tags: Any) -> int:

@@ -716,17 +716,21 @@ def test_finetune_non_finite_matrix_cell_exits_two(
     cli_root, tiny_cfg, extract_dir, data_dir, capsys
 ):
     doc = json.loads((extract_dir / "extracted_matrix.json").read_text())
-    doc["data"][0][0] = float("nan")
-    bad = cli_root / "matrix_nan.json"
-    bad.write_text(json.dumps(doc))
-    for epochs in ([], ["--epochs-max", "0"]):
-        out = cli_root / f"finetuned_nan{len(epochs)}"
-        rc = main(["finetune", "--config", tiny_cfg, "--matrix", str(bad), "--data",
-                   str(data_dir), *epochs, "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "stage=finetune error=ValueError" in err and "not a finite number" in err
-        assert not out.exists()
+    nan = {**doc, "data": [[float("nan"), *doc["data"][0][1:]], *doc["data"][1:]]}
+    # the rows/cols header is checked against the data when the file is read
+    header = {**doc, "rows": doc["rows"] + 1}
+    for name, bad_doc, detail in (("nan", nan, "not a finite number"),
+                                  ("header", header, "header says")):
+        bad = cli_root / f"matrix_{name}.json"
+        bad.write_text(json.dumps(bad_doc))
+        for epochs in ([], ["--epochs-max", "0"]):
+            out = cli_root / f"finetuned_{name}{len(epochs)}"
+            rc = main(["finetune", "--config", tiny_cfg, "--matrix", str(bad), "--data",
+                       str(data_dir), *epochs, "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "stage=finetune error=ValueError" in err and detail in err
+            assert not out.exists()
 
 
 def _extra_layer(doc):

@@ -80,7 +80,7 @@ def test_pad_cells_do_not_influence_decoding():
     assert not np.all(mask)  # this topology does have pad cells
     poked = m.data.copy()
     poked[~mask] = 123.456
-    m2 = WeightsMatrix(m.rows, m.cols, topo, poked)
+    m2 = WeightsMatrix(topo, poked)
     back = matrix_to_coefficients(m2, topo)
     ref = matrix_to_coefficients(m, topo)
     for a, b in zip(back.weights, ref.weights):
@@ -136,9 +136,10 @@ def test_json_dict_schema_and_round_trip():
 
 def test_matrix_header_and_topology_validation():
     with pytest.raises(ValueError):
-        WeightsMatrix(2, 3, (2, 1), np.zeros((2, 3)))  # wrong shape for topology
-    with pytest.raises(ValueError):
-        WeightsMatrix(1, 3, (2, 1), np.zeros((2, 3)))  # header/data mismatch
+        WeightsMatrix((2, 1), np.zeros((2, 3)))  # wrong shape for topology
+    doc = WeightsMatrix((2, 1), np.zeros((1, 3))).to_json_dict()
+    with pytest.raises(ValueError, match="header"):
+        WeightsMatrix.from_json_dict({**doc, "rows": 2})  # header/data mismatch
     m = coefficients_to_matrix(init_mlp([3, 2], seed=0))
     with pytest.raises(ValueError):
         matrix_to_coefficients(m, [3, 2, 1])

@@ -8,6 +8,7 @@ from traceweights.device import (
     DeviceConfig,
     fixed_point_code,
     hamming_weight,
+    mac_streams,
     quantize_trace,
     read_trace_container,
     simulate_trace,
@@ -113,20 +114,25 @@ def test_mac_order_layer_neuron_coefficient_bias_last():
     b2 = np.array([30.0])
     model = MlpModel((2, 2, 1), [w1, w2], [b1, b2])
     x = np.array([0.5, 0.25])
-    from traceweights.device import _mac_streams
-
-    coeffs, operands = _mac_streams(model, x)
+    coeffs, operands = mac_streams(model, x)
     assert list(coeffs) == [11.0, 12.0, 10.0, 21.0, 22.0, 20.0, 31.0, 32.0, 30.0]
     a = relu(x @ w1 + b1)
     assert list(operands) == [0.5, 0.25, 0.0, 0.5, 0.25, 0.0, a[0], a[1], 0.0]
-    # device slot i is codec non-pad cell i, over every layer and every bias
+    # device slot i is codec non-pad cell i, over every layer and every bias: a
+    # weight cell's operand is its layer's input, a bias cell's is 0
     rng = np.random.default_rng(41)
     for trial in range(50):
         topo = tuple(int(t) for t in rng.integers(1, 9, size=rng.integers(2, 6)))
         model = init_mlp(topo, seed=trial)
-        coeffs, _ = _mac_streams(model, rng.random(topo[0]))
+        x = rng.random(topo[0])
+        coeffs, operands = mac_streams(model, x)
         cells = coefficients_to_matrix(model).data[nonpad_mask(topo)]
         assert np.array_equal(coeffs, cells), topo
+        expect, a = [], x
+        for w, b in zip(model.weights, model.biases):
+            expect += [np.append(a, 0.0)] * w.shape[1]
+            a = relu(a @ w + b)
+        assert np.array_equal(operands, np.concatenate(expect)), topo
 
 
 def test_hamming_weight_of_fixed_point_codes():

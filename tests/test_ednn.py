@@ -298,17 +298,17 @@ def test_train_rejects_empty_or_misaligned_pairs():
 def test_predict_weights_shapes_and_determinism():
     model = build_ednn(20, (3, 3), "desk", seed=21)
     rng = np.random.default_rng(22)
-    one = rng.normal(size=20)
+    one = rng.normal(size=(1, 20))
     batch = rng.normal(size=(4, 20))
     a = predict_weights(model, one)
     b = predict_weights(model, one)
-    assert a.shape == (3, 3) and a.dtype == np.float32
+    assert a.shape == (1, 3, 3) and a.dtype == np.float32
     assert np.array_equal(a, b)
     out = predict_weights(model, batch)
     assert out.shape == (4, 3, 3)
-    # batched and single GEMM paths agree to float32 rounding, not bitwise
+    # batched and single-row GEMM paths agree to float32 rounding, not bitwise
     tol = 64 * np.finfo(np.float32).eps * np.abs(out).max()
-    assert np.allclose(out[0], predict_weights(model, batch[0]), rtol=0, atol=tol)
+    assert np.allclose(out[:1], predict_weights(model, batch[:1]), rtol=0, atol=tol)
     assert np.all(np.isfinite(out))
 
 
@@ -317,7 +317,7 @@ def test_checkpoint_round_trip():
     back = ednn_from_vector(18, (2, 3), "desk", model.param_vector())
     assert np.array_equal(back.param_vector(), model.param_vector())
     assert not np.shares_memory(model.param_vector(), model.flat)
-    x = np.random.default_rng(24).normal(size=18)
+    x = np.random.default_rng(24).normal(size=(1, 18))
     assert np.array_equal(predict_weights(back, x), predict_weights(model, x))
     for size in (5, model.flat.size + 1):
         with pytest.raises(ValueError, match="params"):

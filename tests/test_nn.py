@@ -25,9 +25,9 @@ from traceweights.mlp import (
     TrainConfig,
     init_mlp,
     mlp_forward,
-    model_accuracy,
     model_from_dict,
     model_to_dict,
+    predict_labels,
     train_mlp,
     train_mlp_stack,
     validate_topology,
@@ -382,7 +382,7 @@ def test_two_input_sigmoid_unit_at_origin_gives_half():
         weights=[np.array([[1.0], [1.0]])],
         biases=[np.array([0.0])],
     )
-    assert mlp_forward(model, np.array([0.0, 0.0]))[0] == 0.5
+    assert mlp_forward(model, np.array([[0.0, 0.0]]))[0, 0] == 0.5
 
 
 def test_hand_wired_two_layer_sigmoid_value():
@@ -392,7 +392,7 @@ def test_hand_wired_two_layer_sigmoid_value():
         biases=[np.zeros(2), np.zeros(1)],
     )
     # x=[1,-1] -> relu([1,-1])=[1,0] -> z=1 -> sigmoid(1)
-    got = mlp_forward(model, np.array([1.0, -1.0]))[0]
+    got = mlp_forward(model, np.array([[1.0, -1.0]]))[0, 0]
     assert got == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
 
 
@@ -813,7 +813,7 @@ def test_separable_toy_reaches_full_train_accuracy():
     model = init_mlp([2, 4, 1], seed=3)
     hist = train_mlp(model, x, y, TrainConfig(epochs=200, batch_size=8, lr=0.01, seed=3))
     assert hist.train_acc[-1] == 1.0
-    assert model_accuracy(model, x, y) == 1.0
+    assert np.mean(predict_labels(model, x) == y) == 1.0
 
 
 def test_train_mlp_rejects_empty_training_set():
@@ -879,7 +879,7 @@ def test_train_mlp_early_stop_and_restore_best():
     assert 1 <= hist.best_epoch <= hist.stopped_epoch
     assert len(hist.val_acc) == hist.stopped_epoch
     # restored weights must reproduce the best recorded validation accuracy
-    assert model_accuracy(model, val[0], val[1]) == pytest.approx(
+    assert np.mean(predict_labels(model, val[0]) == val[1]) == pytest.approx(
         max(hist.val_acc), abs=1e-12
     )
 
@@ -1080,7 +1080,7 @@ def test_validation_schedule_matches_reference_trainer_bit_for_bit():
     # restore-best rewound the run, which stopped early after halving lr
     assert cfg.lr_halve_after < stopped - best == cfg.early_stop_patience
     assert 1 < best and stopped < cfg.epochs
-    assert model_accuracy(model, xv, yv) == max(val_acc)
+    assert np.mean(predict_labels(model, xv) == yv) == max(val_acc)
 
 
 def test_train_mlp_stack_rejects_mixed_configs_topologies_and_val():

@@ -1,4 +1,5 @@
-"""Every script starts, every exported name resolves, every function the
+"""Every script starts and imports no private name, every exported name
+resolves, the package and the CLI load without numpy, every function the
 benchmark tracer patches still exists, one loop does all training, one
 module reads the config stamps of run-directory files, only the CLI's
 ``main`` loads a config and picks the exit code, only ``run_phase1``
@@ -37,6 +38,31 @@ def test_scripts_start_and_exports_resolve():
             f"{info.name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)
         ]
     assert not missing
+
+
+def test_scripts_import_no_private_names():
+    # a script that needs a private name needs it made public in its module
+    found = [
+        f"{script.name}: {node.module}.{alias.name}"
+        for script in SCRIPTS
+        for node in ast.walk(ast.parse(script.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "traceweights"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found
+
+
+def test_package_and_cli_import_without_numpy():
+    # the CLI's --threads pins the BLAS pool, which holds only if numpy is not yet loaded
+    src = str(Path(traceweights.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import traceweights, traceweights.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_tracer_patch_points_resolve():
